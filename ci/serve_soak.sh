@@ -4,12 +4,12 @@
 #   1. stdin mode: a mixed-priority job stream with the serve.* fault
 #      sites armed per-job — crash-once, crash-always, hang-until-
 #      watchdog, torn result pipe — proving the supervisor never dies,
-#      every request gets exactly one response, and SIGTERM drains to
-#      exit 0.
-#   2. socket mode: N concurrent clients against --socket --pool --cache
-#      with the same fault mix plus cancellations, repeat jobs that must
-#      hit the result cache, and clients that disconnect abruptly with
-#      jobs in flight. Every surviving request gets exactly one result,
+#      every request gets exactly one response, crashed pool workers are
+#      respawned, and SIGTERM drains to exit 0.
+#   2. socket mode: N concurrent clients against --socket --cache with
+#      the same fault mix plus cancellations, repeat jobs that must hit
+#      the result cache, and clients that disconnect abruptly with jobs
+#      in flight. Every surviving request gets exactly one result,
 #      crashes recycle pool workers, and the drain still exits 0.
 #   3. durable mode: SIGKILL the supervisor mid-barrage with a write-
 #      ahead journal armed (--state-dir), restart it on the same state
@@ -23,8 +23,9 @@
 # wind down on its deadline slice, and an all-lanes-dead job that must
 # degrade to the greedy fallback — all of which still answer "OK".
 #
-# Run it against a sanitizer build directory to catch lifetime bugs on
-# the containment paths.
+# Every phase runs jobs on the service's pre-forked worker pool (one
+# worker per --workers slot). Run it against a sanitizer build directory
+# to catch lifetime bugs on the containment paths.
 #
 #   ci/serve_soak.sh [build-dir] [duration-seconds]
 set -euo pipefail
@@ -95,6 +96,19 @@ done
 # the whole fault barrage.
 kill -0 "$pid" || { echo "serve_soak.sh: supervisor died mid-soak" >&2; exit 1; }
 
+# A retried crash-once job means a pool worker died and its slot forked
+# a replacement; once one has come back, ask for status so the respawn
+# counter can be checked after the drain.
+for _ in $(seq 1 600); do
+    grep -q '"retried":true' "$work/out.ndjson" && break
+    sleep 0.1
+done
+printf '{"op":"status"}\n' >&3
+for _ in $(seq 1 100); do
+    grep -q '"event":"status"' "$work/out.ndjson" && break
+    sleep 0.1
+done
+
 kill -TERM "$pid"
 exec 3>&-
 rc=0
@@ -133,6 +147,22 @@ grep -q '"outcome":"timed_out"' "$work/out.ndjson" ||
 grep -q '"winner":"fallback"' "$work/out.ndjson" ||
     { echo "serve_soak.sh: no all-lanes-dead job reached the greedy fallback" >&2; exit 1; }
 
+# The crash barrage must have recycled pool workers: a worker that died
+# is reaped and its slot respawns a fresh process for the next job.
+python3 - "$work/out.ndjson" <<'PYEOF' || exit 1
+import json
+import sys
+
+status = [obj for obj in map(json.loads, filter(str.strip, open(sys.argv[1])))
+          if obj.get("event") == "status"]
+if not status:
+    sys.exit("serve_soak.sh: no status response in the stdin phase")
+respawns = status[-1].get("respawn_total", 0)
+if respawns < 1:
+    sys.exit("serve_soak.sh: respawn_total %d after the crash barrage, want >= 1" % respawns)
+print("serve_soak.sh: stdin phase respawned %d pool workers" % respawns)
+PYEOF
+
 if grep -q "ERROR: .*Sanitizer" "$work/err.log"; then
     echo "serve_soak.sh: sanitizer report in the supervisor" >&2
     tail -20 "$work/err.log" >&2
@@ -140,10 +170,11 @@ if grep -q "ERROR: .*Sanitizer" "$work/err.log"; then
 fi
 
 # ---------------------------------------------------------------- phase 2
-# Concurrent socket clients against the pooled, cached front end.
+# Concurrent socket clients against the cached front end.
 
 sock="$work/serve.sock"
-"$serve" --socket "$sock" --workers 4 --pool --cache 64 --queue 64 \
+workers=4
+"$serve" --socket "$sock" --workers "$workers" --cache 64 --queue 64 \
     --grace 1 --drain-grace 0.2 --max-line 64k \
     >"$work/sock_out.ndjson" 2>"$work/sock_err.log" &
 pid=$!
@@ -161,7 +192,7 @@ import sys
 import threading
 import time
 
-SOCK, DURATION = sys.argv[1], float(sys.argv[2])
+SOCK, DURATION, WORKERS = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
 HGR = "6 8\n1 2\n3 4\n5 6\n7 8\n2 3\n6 7\n"
 LANES = ["ml", "two_phase", "lsmc", "spectral", "genetic"]
 
@@ -298,10 +329,10 @@ def cache_client():
         for raw in f:
             obj = json.loads(raw)
             if obj.get("event") == "status":
-                if not obj.get("pool"):
-                    fail("status: pool not reported active")
-                if not obj.get("pool_workers"):
-                    fail("status: no per-worker pool stats")
+                slots = obj.get("pool_workers") or []
+                if len(slots) != WORKERS:
+                    fail("status: %d pool_workers entries, want one per --workers (%d)"
+                         % (len(slots), WORKERS))
                 break
         s.shutdown(socket.SHUT_WR)
         for _ in f:
@@ -349,7 +380,7 @@ for msg in failures:
 sys.exit(1 if failures else 0)
 PYEOF
 
-if ! python3 "$work/clients.py" "$sock" "$phase"; then
+if ! python3 "$work/clients.py" "$sock" "$phase" "$workers"; then
     echo "serve_soak.sh: multi-client phase failed" >&2
     kill -KILL "$pid" 2>/dev/null || true
     exit 1

@@ -171,23 +171,31 @@ std::vector<std::uint8_t> buildFrame(const std::vector<std::uint8_t>& payload) {
     return std::move(out.bytes);
 }
 
-std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size) {
-    if (size == 0) frameError("empty frame (worker wrote nothing)");
-    WireReader in{data, size};
-    if (size < kFrameHeaderBytes)
-        frameError("frame header truncated (" + std::to_string(size) + " bytes)");
+std::size_t frameSize(const std::uint8_t* header, std::uint64_t maxPayloadBytes) {
+    WireReader in{header, kFrameHeaderBytes};
     if (in.u32() != kFrameMagic) frameError("bad frame magic");
     const std::uint64_t len = in.u64();
-    if (len > kMaxFrameBytes) frameError("implausible frame length " + std::to_string(len));
-    const std::uint32_t crc = in.u32();
-    if (len > in.remaining())
-        frameError("frame truncated (torn write: declares " + std::to_string(len) +
-                   " payload bytes, " + std::to_string(in.remaining()) + " present)");
-    if (len < in.remaining())
-        frameError("trailing bytes after frame payload");
-    if (crc != crc32(data + in.pos, static_cast<std::size_t>(len)))
+    if (len > maxPayloadBytes)
+        frameError("frame length " + std::to_string(len) + " over the " +
+                   std::to_string(maxPayloadBytes) + "-byte cap");
+    return kFrameHeaderBytes + static_cast<std::size_t>(len);
+}
+
+std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size) {
+    if (size == 0) frameError("empty frame (worker wrote nothing)");
+    if (size < kFrameHeaderBytes)
+        frameError("frame header truncated (" + std::to_string(size) + " bytes)");
+    const std::size_t total = frameSize(data, kMaxFrameBytes);
+    WireReader crcField{data + kFrameHeaderBytes - 4, 4}; // last header field
+    const std::uint32_t crc = crcField.u32();
+    if (total > size)
+        frameError("frame truncated (torn write: declares " +
+                   std::to_string(total - kFrameHeaderBytes) + " payload bytes, " +
+                   std::to_string(size - kFrameHeaderBytes) + " present)");
+    if (total < size) frameError("trailing bytes after frame payload");
+    if (crc != crc32(data + kFrameHeaderBytes, total - kFrameHeaderBytes))
         frameError("frame CRC mismatch (torn or corrupted write)");
-    return std::vector<std::uint8_t>(data + in.pos, data + in.pos + len);
+    return std::vector<std::uint8_t>(data + kFrameHeaderBytes, data + total);
 }
 
 } // namespace mlpart::robust

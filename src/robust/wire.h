@@ -88,12 +88,18 @@ struct WireReader {
 /// Wraps `payload` in a magic + length + CRC32 frame.
 [[nodiscard]] std::vector<std::uint8_t> buildFrame(const std::vector<std::uint8_t>& payload);
 
+/// Frame header size in bytes (magic + length + crc).
+inline constexpr std::size_t kFrameHeaderBytes = 16;
+
+/// Reads the magic and payload length from the first kFrameHeaderBytes
+/// at `header` and returns the complete frame size (header + payload):
+/// how many bytes a pipe reader must collect before parseFrame. Throws
+/// Error(kParseError) on bad magic or a payload over `maxPayloadBytes`.
+[[nodiscard]] std::size_t frameSize(const std::uint8_t* header, std::uint64_t maxPayloadBytes);
+
 /// Validates a complete frame and returns its payload. Throws
 /// Error(kParseError) on bad magic, impossible length, truncation
 /// (torn write), trailing bytes, or CRC mismatch.
 [[nodiscard]] std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size);
-
-/// Frame header size in bytes (magic + length + crc).
-inline constexpr std::size_t kFrameHeaderBytes = 16;
 
 } // namespace mlpart::robust

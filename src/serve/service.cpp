@@ -108,19 +108,16 @@ std::uint64_t Service::estimateJobBytes(const JobRequest& req) {
     return perStart * static_cast<std::uint64_t>(concurrent);
 }
 
-Service::Service(ServiceConfig cfg, Emit emit) : cfg_(cfg), emit_(std::move(emit)) {
-    if (cfg_.workers < 1) cfg_.workers = 1;
+Service::Service(ServiceConfig cfg, Emit emit)
+    : cfg_(cfg),
+      emit_(std::move(emit)),
+      pool_(WorkerPoolConfig{cfg.workers, cfg.poolBackoffBaseSeconds,
+                             cfg.poolBackoffCapSeconds}) {
+    cfg_.workers = pool_.slots(); // the pool clamps to >= 1
     if (cfg_.queueLimit < 1) cfg_.queueLimit = 1;
     if (cfg_.historyLimit < 1) cfg_.historyLimit = 1;
     if (cfg_.memLimitBytes > 0)
         robust::MemoryGovernor::instance().setLimitBytes(cfg_.memLimitBytes);
-    if (cfg_.usePool) {
-        WorkerPoolConfig pc;
-        pc.slots = cfg_.workers;
-        pc.backoffBaseSeconds = cfg_.poolBackoffBaseSeconds;
-        pc.backoffCapSeconds = cfg_.poolBackoffCapSeconds;
-        pool_ = std::make_unique<WorkerPool>(pc);
-    }
     if (cfg_.cacheEntries > 0) cache_ = std::make_unique<ResultCache>(cfg_.cacheEntries);
 
     Journal::Recovery recovery;
@@ -343,6 +340,10 @@ void Service::admit(JobRequest req, std::uint64_t client, std::int64_t forcedSeq
     };
     {
         std::unique_lock<std::mutex> lock(mu_);
+        // The first queued job forks the workers (below) and must not race
+        // a dispatcher still allocating its thread start-up state. Waits
+        // only if a job arrives within microseconds of construction.
+        startedCv_.wait(lock, [this] { return dispatchersStarted_ == cfg_.workers; });
         const std::int64_t seq = forcedSeq >= 0 ? forcedSeq : nextSeq_;
         if (req.id.empty()) req.id = "job-" + std::to_string(seq);
         if (draining_ || stopping_) {
@@ -423,6 +424,13 @@ void Service::admit(JobRequest req, std::uint64_t client, std::int64_t forcedSeq
         // non-durable operation — the job itself is still accepted.
         if (journal_)
             journalStatus = journal_->appendAdmit(static_cast<std::uint64_t>(q.seq), q.req);
+        // The first queued job forks every worker, here on the request
+        // thread while every dispatcher sleeps on cv_ — the quietest
+        // moment a serving process has (see WorkerPool::prespawn).
+        if (!prespawned_) {
+            pool_.prespawn();
+            prespawned_ = true;
+        }
         queue_.push_back(std::move(q));
         ++clientLoad_[client];
         cv_.notify_one();
@@ -540,7 +548,7 @@ void Service::stop() {
     }
     for (std::thread& t : dispatchers_)
         if (t.joinable()) t.join();
-    if (pool_) pool_->shutdown();
+    pool_.shutdown();
     // A clean stop has delivered every response it ever will: compacting
     // now drops the delivered Done records, so only a *crash* (no stop)
     // leaves results behind for the at-least-once re-emission path.
@@ -570,21 +578,17 @@ std::string Service::statusJson() {
         clientCount = clients_.size();
     }
     std::string poolWorkers = "[";
-    std::int64_t respawnTotal = 0;
-    if (pool_) {
-        const std::vector<WorkerSlotStats> slots = pool_->stats();
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (i > 0) poolWorkers += ',';
-            JsonWriter sw;
-            sw.field("jobs_served", slots[i].jobsServed)
-                .field("crashes", slots[i].crashes)
-                .field("respawns", slots[i].respawns)
-                .field("consecutive_failures", slots[i].consecutiveFailures)
-                .field("backoff_active", slots[i].backoffActive)
-                .field("alive", slots[i].alive);
-            poolWorkers += sw.str();
-        }
-        respawnTotal = pool_->respawnTotal();
+    const std::vector<WorkerSlotStats> slots = pool_.stats();
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (i > 0) poolWorkers += ',';
+        JsonWriter sw;
+        sw.field("jobs_served", slots[i].jobsServed)
+            .field("crashes", slots[i].crashes)
+            .field("respawns", slots[i].respawns)
+            .field("consecutive_failures", slots[i].consecutiveFailures)
+            .field("backoff_active", slots[i].backoffActive)
+            .field("alive", slots[i].alive);
+        poolWorkers += sw.str();
     }
     poolWorkers += ']';
     JsonWriter cw;
@@ -653,8 +657,7 @@ std::string Service::statusJson() {
         .field("clients", static_cast<std::int64_t>(clientCount))
         .field("draining", draining_)
         .field("workers", cfg_.workers)
-        .field("pool", pool_ != nullptr)
-        .field("respawn_total", respawnTotal)
+        .field("respawn_total", pool_.respawnTotal())
         .field("mem_limit", static_cast<std::int64_t>(governor.limitBytes()))
         .field("mem_in_use", static_cast<std::int64_t>(governor.inUseBytes()))
         .field("portfolio_fallbacks", portfolioFallbacks_)
@@ -676,6 +679,8 @@ std::string Service::statusJson() {
 
 void Service::dispatcherLoop(int slot) {
     std::unique_lock<std::mutex> lock(mu_);
+    ++dispatchersStarted_;
+    startedCv_.notify_all();
     for (;;) {
         cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
         if (queue_.empty()) {
@@ -705,7 +710,7 @@ void Service::dispatcherLoop(int slot) {
             static_cast<double>(nowNs() - q.enqueuedNs) / 1e9;
         JobResult r;
         if (q.cancel->load(std::memory_order_acquire)) {
-            // Cancelled between dequeue and fork: never run at all.
+            // Cancelled between dequeue and dispatch: never run at all.
             r.id = q.req.id;
             r.outcome.status = {StatusCode::kCancelled,
                                 "cancelled before dispatch; never run"};
@@ -713,7 +718,7 @@ void Service::dispatcherLoop(int slot) {
             SupervisorConfig sc;
             sc.graceSeconds = cfg_.graceSeconds;
             sc.defaultDeadlineSeconds = cfg_.defaultDeadlineSeconds;
-            r = superviseJob(q.req, sc, &drainState_, q.cancel.get(), pool_.get(), slot);
+            r = superviseJob(pool_, slot, q.req, sc, &drainState_, q.cancel.get());
         }
         r.queueSeconds = queueSeconds;
         const bool cacheInsert = cache_ && q.fingerprint != 0 && !r.cached &&

@@ -1,11 +1,12 @@
 // The long-lived partitioning service (DESIGN.md §11, §13).
 //
-// One Service owns a bounded priority queue, N dispatcher threads (each
-// running at most one fork-isolated worker at a time via superviseJob),
-// and the drain state machine. Requests enter as NDJSON lines through
-// handleLine(); every response leaves through an emit callback as one
-// NDJSON line — the transport (stdin/stdout, unix socket) lives in the
-// tool, not here, so tests drive the service as a plain object.
+// One Service owns a bounded priority queue, N dispatcher threads, a
+// WorkerPool with one pre-forked worker per dispatcher (dispatcher i runs
+// its jobs on slot i via superviseJob), and the drain state machine.
+// Requests enter as NDJSON lines through handleLine(); every response
+// leaves through an emit callback as one NDJSON line — the transport
+// (stdin/stdout, unix socket) lives in the tool, not here, so tests drive
+// the service as a plain object.
 //
 // Multi-tenancy (§13): each connection registers an emit callback and
 // gets an opaque client token; every request carries its client's token
@@ -58,8 +59,7 @@ struct ServiceConfig {
     double drainGraceSeconds = 0.5;    ///< drain → SIGTERM delay for in-flight jobs
     int historyLimit = 32;             ///< recent results kept for "status"
     std::uint64_t memLimitBytes = 0;   ///< 0 = unlimited (mirrors --mem-limit)
-    bool usePool = false;              ///< pre-forked worker pool (one slot per dispatcher)
-    double poolBackoffBaseSeconds = 0.05;
+    double poolBackoffBaseSeconds = 0.05; ///< worker respawn backoff (WorkerPoolConfig)
     double poolBackoffCapSeconds = 2.0;
     int cacheEntries = 0;              ///< result-cache budget; 0 disables it
     int perClientInFlight = 0;         ///< queued+active cap per client; 0 = unlimited
@@ -196,6 +196,8 @@ private:
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
+    std::condition_variable startedCv_; ///< signals dispatchersStarted_
+    int dispatchersStarted_ = 0;        ///< guarded by mu_
     std::vector<Queued> queue_;
     std::unordered_map<std::string, InFlight> inflight_; ///< key: "<client>:<id>"
     std::unordered_map<std::uint64_t, int> clientLoad_;  ///< queued + active per client
@@ -203,7 +205,7 @@ private:
     EngineStats engineStats_[portfolio::kEngineCount]; ///< guarded by mu_
     std::int64_t portfolioFallbacks_ = 0;              ///< guarded by mu_
     std::vector<std::thread> dispatchers_;
-    std::unique_ptr<WorkerPool> pool_;
+    WorkerPool pool_; ///< one slot per dispatcher
     std::unique_ptr<ResultCache> cache_;
     std::unique_ptr<Journal> journal_;
     std::string cachePath_;            ///< "" = cache persistence disabled
@@ -220,6 +222,7 @@ private:
     int shed_ = 0;
     int cancelled_ = 0;
     std::atomic<std::int64_t> orphaned_{0}; ///< results suppressed for dead clients
+    bool prespawned_ = false; ///< workers forked (at the first queued job)
     bool draining_ = false;
     bool stopping_ = false;
     bool stopped_ = false;

@@ -38,17 +38,6 @@ constexpr std::int64_t kNoKill = std::int64_t{1} << 62;
 /// this on the result pipe is a protocol violation, not a result.
 constexpr std::uint64_t kMaxOutcomeFrameBytes = 1ull << 20;
 
-/// Little-endian u64 at `p` (the frame's payload-length field).
-std::uint64_t loadLe64(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
-
-bool frameMagicOk(const std::uint8_t* p) {
-    return p[0] == 'M' && p[1] == 'L' && p[2] == 'W' && p[3] == 'F';
-}
-
 } // namespace
 
 WorkerPool::WorkerPool(WorkerPoolConfig cfg) : cfg_(cfg) {
@@ -114,6 +103,16 @@ void WorkerPool::spawnLocked(Slot& s) {
 void WorkerPool::spawn(Slot& s) {
     std::lock_guard<std::mutex> lock(mu_);
     spawnLocked(s);
+}
+
+void WorkerPool::prespawn() {
+    for (Slot& s : slots_) {
+        try {
+            spawn(s);
+        } catch (const std::exception&) {
+            // Injected or real spawn failure: runAttempt retries lazily.
+        }
+    }
 }
 
 int WorkerPool::reap(Slot& s) {
@@ -185,10 +184,9 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
         }
     }
 
-    // Supervise the result with the same watchdog / drain / cancel policy
-    // as the fork-per-job path — but stop at one complete frame instead
-    // of pipe EOF, because a healthy pooled worker stays alive (and keeps
-    // the pipe open) for its next job.
+    // Supervise the result under the watchdog / drain / cancel policy,
+    // reading until one complete frame — not pipe EOF, because a healthy
+    // worker stays alive (and keeps the pipe open) for its next job.
     const double deadline =
         req.deadlineSeconds > 0 ? req.deadlineSeconds : cfg.defaultDeadlineSeconds;
     const std::int64_t graceNs = static_cast<std::int64_t>(cfg.graceSeconds * 1e9);
@@ -197,7 +195,7 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
     bool sigtermSent = false;
 
     std::vector<std::uint8_t> buf;
-    std::uint64_t want = 0; // complete-frame size once the header is in
+    std::size_t want = 0; // complete-frame size once the header is in
     bool frameDone = false;
     bool eof = false;
     std::string frameError = "no result frame";
@@ -241,16 +239,12 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
         }
         buf.insert(buf.end(), chunk, chunk + n);
         if (want == 0 && buf.size() >= robust::kFrameHeaderBytes) {
-            if (!frameMagicOk(buf.data())) {
-                frameError = "bad frame magic on the result pipe";
+            try {
+                want = robust::frameSize(buf.data(), kMaxOutcomeFrameBytes);
+            } catch (const Error& e) {
+                frameError = e.what();
                 break;
             }
-            const std::uint64_t len = loadLe64(buf.data() + 4);
-            if (len > kMaxOutcomeFrameBytes) {
-                frameError = "oversized result frame (" + std::to_string(len) + " bytes)";
-                break;
-            }
-            want = robust::kFrameHeaderBytes + len;
         }
         if (want > 0 && buf.size() >= want) {
             if (buf.size() > want) {

@@ -1,14 +1,14 @@
-// Pre-forked worker pool (DESIGN.md §13).
+// Pre-forked worker pool (DESIGN.md §13) — the service's only way to
+// run a job.
 //
-// PR 5 proved fork-isolated crash containment at one fork() per job; this
-// pool amortizes the fork across small-job streams while keeping the
-// containment story per *worker*: each slot owns one long-lived child
-// process that serves framed JobRequests from a pipe and answers each
-// with one CRC-framed JobOutcome. A worker that crashes, tears a frame,
-// violates the protocol, or is watchdog-killed is reaped and respawned on
-// the next job — with per-slot crash accounting and exponential backoff
-// on a flapping worker, so a poisoned pool degrades into slow retries
-// instead of a fork bomb.
+// Each slot owns one long-lived child process that serves framed
+// JobRequests from a pipe and answers each with one CRC-framed
+// JobOutcome, so a stream of small jobs pays no fork per job while
+// containment stays per *worker*: a worker that crashes, tears a frame,
+// violates the protocol, or is watchdog-killed is reaped and respawned
+// on the next job — with per-slot crash accounting and exponential
+// backoff on a flapping worker, so a poisoned pool degrades into slow
+// retries instead of a fork bomb.
 //
 // Threading contract: slot i is driven by exactly one dispatcher thread
 // at a time (the service pins dispatcher i to slot i); stats() may be
@@ -58,13 +58,22 @@ public:
 
     /// Dispatches one job attempt to slot `slot`, spawning or respawning
     /// the worker as needed (honouring the slot's backoff). Applies the
-    /// same watchdog / drain / cancel supervision policy as the
-    /// fork-per-job path and classifies every worker failure mode into
-    /// the returned Attempt. Throws only for parent-side spawn failures
-    /// (classified retryable by the caller).
+    /// watchdog / drain / cancel supervision policy and classifies every
+    /// worker failure mode into the returned Attempt (valid frame >
+    /// watchdog > signal > exit code). Throws only for parent-side spawn
+    /// failures (classified retryable by the caller).
     [[nodiscard]] Attempt runAttempt(int slot, const JobRequest& req, int attempt,
                                      const SupervisorConfig& cfg, const DrainState* drain,
                                      const std::atomic<bool>* cancel);
+
+    /// Forks every slot's worker now, before any dispatcher drives a
+    /// slot. Call it while no other thread is busy: a child forked while
+    /// another thread holds a lock inherits it held and deadlocks on it.
+    /// glibc malloc takes its own locks across fork, but sanitizer
+    /// allocators may not (GCC 12's ASan deadlocked forked workers this
+    /// way). A spawn that fails here is left to runAttempt, which spawns
+    /// lazily as it does after every worker death.
+    void prespawn();
 
     /// Closes every job pipe (workers exit on EOF), reaps with a bounded
     /// wait, SIGKILLs stragglers. Idempotent; the destructor calls it.

@@ -1,8 +1,8 @@
-// Tests for the supervised partitioning service (DESIGN.md §11): the
-// NDJSON job schema, the CRC-framed worker result protocol, fork-isolated
-// crash containment with retry, watchdog kills, admission control /
-// load-shedding, and graceful drain. The serve.* fault sites that
-// robust_test skips are exercised here.
+// Tests for the supervised partitioning service (DESIGN.md §11, §13): the
+// NDJSON job schema, the CRC-framed worker protocol, crash containment
+// with retry on pre-forked pool workers, watchdog kills, admission
+// control / load-shedding, and graceful drain. The serve.* fault sites
+// that robust_test skips are exercised here.
 #include <gtest/gtest.h>
 
 #if !defined(_WIN32)
@@ -41,6 +41,28 @@
 #include "serve/service.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
+#include "serve/worker_pool.h"
+
+// TSan terminates any forked child that starts a thread (die_after_fork;
+// =0 is unsafe with concurrent forks), so every worker child dies
+// instantly under it — tests that need an OK result from a live worker
+// skip, same policy as the sanitizers.yml serve filter. The kill/restart
+// bit-identity test stays: its oracle runs under the same regime, so the
+// consistency contract is still exercised.
+#if defined(__SANITIZE_THREAD__)
+#define MLPART_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MLPART_TSAN_ACTIVE 1
+#endif
+#endif
+#ifdef MLPART_TSAN_ACTIVE
+#define MLPART_SKIP_NEEDS_LIVE_WORKER() \
+    GTEST_SKIP() << "needs an OK result from a live forked worker; " \
+                    "TSan kills forked children that start threads"
+#else
+#define MLPART_SKIP_NEEDS_LIVE_WORKER() (void)0
+#endif
 
 namespace mlpart::serve {
 namespace {
@@ -64,6 +86,13 @@ JobRequest tinyRequest(const std::string& id) {
     r.inlineHgr = kTinyHgr;
     r.runs = 2;
     return r;
+}
+
+/// superviseJob on a fresh one-slot WorkerPool, the service's only worker
+/// path. A short backoff keeps the crash-and-retry cases quick.
+JobResult superviseOnOneSlot(const JobRequest& req, const SupervisorConfig& cfg = {}) {
+    WorkerPool pool(WorkerPoolConfig{1, 0.01, 0.1});
+    return superviseJob(pool, 0, req, cfg);
 }
 
 // Collects every emitted line; the service calls emit from its
@@ -266,6 +295,44 @@ TEST(ServeWire, CorruptionAndTrailingBytesAreParseErrors) {
     EXPECT_THROW((void)robust::parseFrame(trailing.data(), trailing.size()), Error);
 }
 
+TEST(ServeWire, BadMagicIsAParseError) {
+    std::vector<std::uint8_t> frame = robust::buildFrame(encodeJobOutcome(JobOutcome{}));
+    EXPECT_EQ(robust::frameSize(frame.data(), 1u << 20), frame.size());
+    frame[0] ^= 0x01; // 'M' -> 'L'
+    for (const bool whole : {false, true}) {
+        try {
+            if (whole)
+                (void)robust::parseFrame(frame.data(), frame.size());
+            else
+                (void)robust::frameSize(frame.data(), 1u << 20);
+            FAIL() << "bad magic accepted (whole=" << whole << ")";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), StatusCode::kParseError);
+            EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos) << e.what();
+        }
+    }
+}
+
+TEST(ServeWire, OverCapLengthIsAParseError) {
+    const std::vector<std::uint8_t> frame =
+        robust::buildFrame(encodeJobOutcome(JobOutcome{}));
+    const std::uint64_t payload = frame.size() - robust::kFrameHeaderBytes;
+    // At the cap the header is fine; one byte under it, the same header is
+    // refused before a reader would wait for (or allocate) the payload.
+    EXPECT_EQ(robust::frameSize(frame.data(), payload), frame.size());
+    try {
+        (void)robust::frameSize(frame.data(), payload - 1);
+        FAIL() << "over-cap length accepted";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), StatusCode::kParseError);
+    }
+    // A header declaring ~2^40 payload bytes is refused by parseFrame too.
+    std::vector<std::uint8_t> huge = frame;
+    huge[4 + 5] = 0x01;
+    EXPECT_THROW((void)robust::frameSize(huge.data(), std::uint64_t{1} << 32), Error);
+    EXPECT_THROW((void)robust::parseFrame(huge.data(), huge.size()), Error);
+}
+
 // --------------------------------------------------- in-process worker
 
 TEST(ServeWorker, ExecutesAJobInProcess) {
@@ -288,7 +355,7 @@ TEST(ServeWorker, ClassifiesInfeasibleAndParseErrors) {
 // ------------------------------------------------------- supervision
 
 TEST(ServeSupervisor, CleanJobRunsOnce) {
-    const JobResult r = superviseJob(tinyRequest("clean"), SupervisorConfig{});
+    const JobResult r = superviseOnOneSlot(tinyRequest("clean"));
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
     EXPECT_EQ(r.attempts, 1);
     EXPECT_EQ(r.crashes, 0);
@@ -299,7 +366,7 @@ TEST(ServeSupervisor, Sigsegv0MidJobIsContainedAndRetried) {
     JobRequest req = tinyRequest("crash-once");
     req.faultSpec = "site=serve.worker_crash,at=1";
     req.faultAttempts = 1; // crash attempt 0 only; the retry runs clean
-    const JobResult r = superviseJob(req, SupervisorConfig{});
+    const JobResult r = superviseOnOneSlot(req);
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
     EXPECT_EQ(r.attempts, 2);
     EXPECT_EQ(r.crashes, 1);
@@ -310,7 +377,7 @@ TEST(ServeSupervisor, Sigsegv0MidJobIsContainedAndRetried) {
 TEST(ServeSupervisor, PersistentCrashClassifiesAfterOneRetry) {
     JobRequest req = tinyRequest("crash-always");
     req.faultSpec = "site=serve.worker_crash,at=1"; // every attempt re-arms
-    const JobResult r = superviseJob(req, SupervisorConfig{});
+    const JobResult r = superviseOnOneSlot(req);
     EXPECT_EQ(r.outcome.status.code, StatusCode::kWorkerCrashed);
     EXPECT_EQ(r.attempts, 2); // retried once, then classified — never looping
     EXPECT_EQ(r.crashes, 2);
@@ -320,7 +387,7 @@ TEST(ServeSupervisor, TornResultFrameDegradesToRetryNotGarbage) {
     JobRequest req = tinyRequest("torn");
     req.faultSpec = "site=serve.pipe,at=1";
     req.faultAttempts = 1;
-    const JobResult r = superviseJob(req, SupervisorConfig{});
+    const JobResult r = superviseOnOneSlot(req);
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
     EXPECT_EQ(r.attempts, 2);
     EXPECT_EQ(r.crashes, 1); // the torn attempt counts as a crash
@@ -333,7 +400,7 @@ TEST(ServeSupervisor, WatchdogKillsHungWorkerWithinDeadlinePlusGrace) {
     SupervisorConfig cfg;
     cfg.graceSeconds = 0.2;
     const auto t0 = std::chrono::steady_clock::now();
-    const JobResult r = superviseJob(req, cfg);
+    const JobResult r = superviseOnOneSlot(req, cfg);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     EXPECT_EQ(r.outcome.status.code, StatusCode::kDeadlineExceeded);
@@ -348,7 +415,7 @@ TEST(ServeSupervisor, InjectedForkFailureIsRetried) {
     plan.site = "serve.fork";
     plan.fireAtHit = 1;
     robust::FaultInjector::instance().arm(plan);
-    const JobResult r = superviseJob(tinyRequest("forkfail"), SupervisorConfig{});
+    const JobResult r = superviseOnOneSlot(tinyRequest("forkfail"));
     EXPECT_GE(robust::FaultInjector::instance().fires(), 1);
     robust::FaultInjector::instance().disarm();
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
@@ -725,55 +792,72 @@ TEST(ServeCancel, CancellingAHungWorkerStillResolvesToCancelled) {
 
 // ------------------------------------------------------------ worker pool
 
-TEST(ServePool, PoolResultsAreBitIdenticalToForkPerJobAcrossWorkerCounts) {
-    // The same mixed batch the fork-per-job determinism test uses: clean
-    // jobs plus first-attempt crashes and torn frames. Pooled workers
-    // re-arm the per-job fault spec per request, so attempt patterns —
-    // and cut + partition CRC — must match fork-per-job exactly, at every
-    // pool width.
-    const std::vector<std::string> jobs = {
-        tinyJob("p-clean-1", "\"seed\":11"),
-        tinyJob("p-clean-2", "\"seed\":12"),
-        tinyJob("p-crash-1",
-                "\"seed\":13,\"fault\":\"site=serve.worker_crash,at=1\",\"fault_attempts\":1"),
-        tinyJob("p-torn-1",
-                "\"seed\":14,\"fault\":\"site=serve.pipe,at=1\",\"fault_attempts\":1"),
-        tinyJob("p-dead-1", "\"seed\":15,\"fault\":\"site=serve.worker_crash,at=1\""),
-        tinyJob("p-clean-3", "\"seed\":16"),
+TEST(ServePool, ResultsMatchInProcessExecutionAcrossWorkerCounts) {
+    MLPART_SKIP_NEEDS_LIVE_WORKER();
+    // The same mixed batch the worker-count determinism test uses: clean
+    // jobs plus first-attempt crashes and torn frames. Pool workers re-arm
+    // the per-job fault spec per request, so every OK result must equal
+    // running the job in-process — under the request's own seed when the
+    // first attempt succeeded, under reseedForAttempt(seed, 1) when it
+    // took the retry — at every pool width.
+    struct Case {
+        std::string line;
+        int attempts; ///< the deterministic attempt count for this job
+        bool ok;
     };
-    std::map<std::string, std::map<std::string, std::string>> byConfig;
-    for (const int workers : {0, 1, 2, 8}) { // 0 = fork-per-job reference
+    const std::vector<Case> cases = {
+        {tinyJob("p-clean-1", "\"seed\":11"), 1, true},
+        {tinyJob("p-clean-2", "\"seed\":12"), 1, true},
+        {tinyJob("p-crash-1",
+                 "\"seed\":13,\"fault\":\"site=serve.worker_crash,at=1\",\"fault_attempts\":1"),
+         2, true},
+        {tinyJob("p-torn-1",
+                 "\"seed\":14,\"fault\":\"site=serve.pipe,at=1\",\"fault_attempts\":1"),
+         2, true},
+        {tinyJob("p-dead-1", "\"seed\":15,\"fault\":\"site=serve.worker_crash,at=1\""), 2,
+         false},
+        {tinyJob("p-clean-3", "\"seed\":16"), 1, true},
+    };
+    std::map<std::string, JobOutcome> oracle;
+    for (const Case& c : cases) {
+        if (!c.ok) continue;
+        JobRequest req = parseJobRequest(c.line);
+        req.seed = reseedForAttempt(req.seed, c.attempts - 1);
+        req.faultSpec.clear();
+        oracle[req.id] = executeJob(req, nullptr);
+        ASSERT_TRUE(oracle[req.id].status.ok()) << oracle[req.id].status.message;
+    }
+    for (const int workers : {1, 2, 8}) {
         Capture cap;
         ServiceConfig cfg;
-        cfg.workers = workers == 0 ? 1 : workers;
-        cfg.usePool = workers != 0;
+        cfg.workers = workers;
         cfg.poolBackoffBaseSeconds = 0.01; // keep the crash jobs quick
         {
             Service service(cfg, cap.sink());
-            for (const std::string& j : jobs) service.handleLine(j);
+            for (const Case& c : cases) service.handleLine(c.line);
             service.stop();
         }
-        std::map<std::string, std::string> results;
-        for (const std::string& j : jobs) {
-            const std::string id = parseJobRequest(j).id;
+        for (const Case& c : cases) {
+            const std::string id = parseJobRequest(c.line).id;
             const JsonObject o = parseJsonObject(cap.resultFor(id));
-            results[id] = getString(o, "status", "?") + "/cut=" +
-                          std::to_string(getInt(o, "cut", -2)) + "/crc=" +
-                          std::to_string(getInt(o, "part_crc", -2)) + "/attempts=" +
-                          std::to_string(getInt(o, "attempts", -2));
+            EXPECT_EQ(getInt(o, "attempts", -2), c.attempts) << id << " @" << workers;
+            if (!c.ok) {
+                EXPECT_EQ(getString(o, "status", "?"), "WORKER_CRASHED") << id;
+                continue;
+            }
+            ASSERT_EQ(getString(o, "status", "?"), "OK") << id << " @" << workers;
+            EXPECT_EQ(getInt(o, "cut", -2), oracle.at(id).cut) << id << " @" << workers;
+            EXPECT_EQ(getInt(o, "part_crc", -2),
+                      static_cast<std::int64_t>(oracle.at(id).partitionCrc))
+                << id << " @" << workers;
         }
-        byConfig[workers == 0 ? "fork" : "pool" + std::to_string(workers)] = results;
     }
-    EXPECT_EQ(byConfig.at("fork"), byConfig.at("pool1"));
-    EXPECT_EQ(byConfig.at("fork"), byConfig.at("pool2"));
-    EXPECT_EQ(byConfig.at("fork"), byConfig.at("pool8"));
 }
 
 TEST(ServePool, CrashedWorkerIsReapedRespawnedAndAccounted) {
     Capture cap;
     ServiceConfig cfg;
     cfg.workers = 1;
-    cfg.usePool = true;
     cfg.poolBackoffBaseSeconds = 0.01;
     Service service(cfg, cap.sink());
     service.handleLine(tinyJob("die", "\"fault\":\"site=serve.worker_crash,at=1\""));
@@ -787,7 +871,6 @@ TEST(ServePool, CrashedWorkerIsReapedRespawnedAndAccounted) {
     EXPECT_NE(cap.resultFor("ok-after").find("\"status\":\"OK\""), std::string::npos);
     // The crash-always job burned two workers (attempt + retry); the
     // clean job proves the slot recovered. Stats must say so.
-    EXPECT_NE(status.find("\"pool\":true"), std::string::npos) << status;
     EXPECT_GE(statusInt(status, "respawn_total"), 2);
     EXPECT_NE(status.find("\"crashes\":2"), std::string::npos) << status;
 }
@@ -796,7 +879,6 @@ TEST(ServePool, FlappingWorkerBacksOffExponentiallyAndRecovers) {
     Capture cap;
     ServiceConfig cfg;
     cfg.workers = 1;
-    cfg.usePool = true;
     cfg.poolBackoffBaseSeconds = 0.05;
     cfg.poolBackoffCapSeconds = 0.2;
     Service service(cfg, cap.sink());
@@ -827,7 +909,6 @@ TEST(ServePool, FlappingWorkerBacksOffExponentiallyAndRecovers) {
 TEST(ServePool, PoolShutdownLeavesNoLiveWorkers) {
     ServiceConfig cfg;
     cfg.workers = 4;
-    cfg.usePool = true;
     Capture cap;
     std::vector<std::string> ids;
     for (int i = 0; i < 8; ++i) {
@@ -1162,27 +1243,6 @@ TEST(ServeFrontEnd, AbruptDisconnectCancelsTheClientsJobs) {
 }
 
 // ------------------------------------------ durable serve state (§16)
-
-// TSan terminates any forked child that starts a thread (die_after_fork;
-// =0 is unsafe with concurrent forks), so every worker child dies
-// instantly under it — tests below that need an OK result from a live
-// worker skip, same policy as the sanitizers.yml serve filter. The
-// kill/restart bit-identity test stays: its oracle runs under the same
-// regime, so the consistency contract is still exercised.
-#if defined(__SANITIZE_THREAD__)
-#define MLPART_TSAN_ACTIVE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MLPART_TSAN_ACTIVE 1
-#endif
-#endif
-#ifdef MLPART_TSAN_ACTIVE
-#define MLPART_SKIP_NEEDS_LIVE_WORKER() \
-    GTEST_SKIP() << "needs an OK result from a live forked worker; " \
-                    "TSan kills forked children that start threads"
-#else
-#define MLPART_SKIP_NEEDS_LIVE_WORKER() (void)0
-#endif
 
 struct InjectorGuard {
     ~InjectorGuard() { robust::FaultInjector::instance().disarm(); }

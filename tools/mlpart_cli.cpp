@@ -17,14 +17,17 @@
 // (best-so-far emitted), 1 anything else.
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <new>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/multilevel.h"
@@ -111,6 +114,18 @@ Hypergraph loadNetlist(const std::string& path) {
                         "unrecognized netlist extension '" + ext + "' (want .hgr/.bench/.netD)");
 }
 
+// Checked numeric flag value: the whole string must parse as a T, or the
+// run stops with a usage error (exit 2) naming the flag.
+template <typename T>
+T parseNumber(const std::string& flag, const std::string& s) {
+    T v{};
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (s.empty() || ec != std::errc() || ptr != end)
+        usage(flag + ": malformed number '" + s + "'");
+    return v;
+}
+
 // Tiny flag parser: flags with values; positional args collected in order.
 struct Args {
     std::vector<std::string> positional;
@@ -122,35 +137,34 @@ struct Args {
     }
     [[nodiscard]] double getD(const std::string& key, double def) const {
         const auto it = flags.find(key);
-        return it == flags.end() ? def : std::stod(it->second);
+        return it == flags.end() ? def : parseNumber<double>(key, it->second);
     }
     [[nodiscard]] long getI(const std::string& key, long def) const {
         const auto it = flags.find(key);
-        return it == flags.end() ? def : std::stol(it->second);
+        return it == flags.end() ? def : parseNumber<long>(key, it->second);
     }
 };
 
 // "--mem-limit 512m" style byte counts: a decimal count with an optional
 // binary k/m/g suffix. 0 = unlimited.
 std::uint64_t parseByteSize(const std::string& s) {
-    std::size_t pos = 0;
-    unsigned long long v = 0;
-    try {
-        v = std::stoull(s, &pos);
-    } catch (const std::exception&) {
-        usage("--mem-limit: malformed byte count '" + s + "'");
-    }
     std::uint64_t mult = 1;
-    if (pos < s.size()) {
-        if (pos + 1 != s.size()) usage("--mem-limit: malformed byte count '" + s + "'");
-        switch (std::tolower(static_cast<unsigned char>(s[pos]))) {
+    std::string digits = s;
+    if (!s.empty() && std::isalpha(static_cast<unsigned char>(s.back()))) {
+        switch (std::tolower(static_cast<unsigned char>(s.back()))) {
             case 'k': mult = std::uint64_t{1} << 10; break;
             case 'm': mult = std::uint64_t{1} << 20; break;
             case 'g': mult = std::uint64_t{1} << 30; break;
-            default: usage("--mem-limit: unknown suffix '" + s.substr(pos) + "' (want k/m/g)");
+            default:
+                usage("--mem-limit: unknown suffix '" + s.substr(s.size() - 1) +
+                      "' (want k/m/g)");
         }
+        digits.pop_back();
     }
-    return static_cast<std::uint64_t>(v) * mult;
+    const std::uint64_t v = parseNumber<std::uint64_t>("--mem-limit", digits);
+    if (v > std::numeric_limits<std::uint64_t>::max() / mult)
+        usage("--mem-limit: byte count '" + s + "' overflows 64 bits");
+    return v * mult;
 }
 
 Args parseArgs(int argc, char** argv, int start) {

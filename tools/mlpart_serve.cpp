@@ -2,21 +2,21 @@
 //
 //   mlpart_serve [--workers N] [--queue N] [--deadline SEC] [--grace SEC]
 //                [--drain-grace SEC] [--history N] [--mem-limit BYTES[k|m|g]]
-//                [--socket PATH] [--pool] [--cache N] [--per-client N]
-//                [--max-line BYTES[k|m|g]]
+//                [--socket PATH] [--cache N] [--per-client N]
+//                [--state-dir DIR] [--max-line BYTES[k|m|g]]
 //
 // Reads one NDJSON job request per line from stdin (or, with --socket,
 // from any number of concurrent clients of a unix stream socket) and
 // answers every request with exactly one NDJSON line on stdout (or the
-// requesting client's connection). Jobs run in fork-isolated workers — by
-// default one fork per job, with --pool in pre-forked per-dispatcher
-// workers that are reaped and respawned (with exponential backoff) when
-// they crash. {"op":"cancel","id":...} drops a queued job or winds down a
-// running one to a deterministic CANCELLED response; --cache N replays
-// repeat (instance, config) requests from a bounded result cache with
-// "cached":true. SIGTERM (or an {"op":"drain"} request) drains
-// gracefully: queued jobs are rejected, in-flight jobs wind down to
-// best-so-far + checkpoint, then exit 0.
+// requesting client's connection). Jobs run in fork-isolated workers,
+// pre-forked one per dispatcher (--workers) and reaped and respawned
+// (with exponential backoff) when they crash. {"op":"cancel","id":...}
+// drops a queued job or winds down a running one to a deterministic
+// CANCELLED response; --cache N replays repeat (instance, config)
+// requests from a bounded result cache with "cached":true. SIGTERM (or
+// an {"op":"drain"} request) drains gracefully: queued jobs are
+// rejected, in-flight jobs wind down to best-so-far + checkpoint, then
+// exit 0. A malformed flag value exits 2 (usage).
 #if defined(_WIN32)
 #include <cstdio>
 int main() {
@@ -32,10 +32,13 @@ int main() {
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "robust/fault_injector.h"
 #include "robust/status.h"
@@ -54,7 +57,7 @@ extern "C" void onSignal(int) { g_drain.store(true, std::memory_order_relaxed); 
     if (!msg.empty()) std::cerr << "error: " << msg << "\n\n";
     std::cerr <<
         "usage: mlpart_serve [options]\n"
-        "  --workers N        concurrent supervised jobs (default 1)\n"
+        "  --workers N        pre-forked workers = concurrent jobs (default 1)\n"
         "  --queue N          queued-job bound; overflow sheds by priority (default 16)\n"
         "  --deadline SEC     default per-job deadline; 0 = none (default 0)\n"
         "  --grace SEC        watchdog slack past a deadline (default 2)\n"
@@ -62,7 +65,6 @@ extern "C" void onSignal(int) { g_drain.store(true, std::memory_order_relaxed); 
         "  --history N        recent results kept for \"status\" (default 32)\n"
         "  --mem-limit BYTES  admission + governor budget, k/m/g suffix ok (default off)\n"
         "  --socket PATH      serve a unix stream socket (concurrent clients)\n"
-        "  --pool             pre-forked worker pool instead of fork-per-job\n"
         "  --cache N          result cache of N entries; repeats answer \"cached\":true\n"
         "  --per-client N     max queued+running jobs per client; 0 = unlimited\n"
         "  --state-dir DIR    durable state: write-ahead job journal + persisted\n"
@@ -74,25 +76,34 @@ extern "C" void onSignal(int) { g_drain.store(true, std::memory_order_relaxed); 
     std::exit(robust::exitCodeFor(robust::StatusCode::kUsage));
 }
 
+// Checked numeric flag value: the whole string must parse as a T, or the
+// run stops with a usage error (exit 2) naming the flag.
+template <typename T>
+T parseNumber(const std::string& flag, const std::string& s) {
+    T v{};
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (s.empty() || ec != std::errc() || ptr != end)
+        usage(flag + ": malformed number '" + s + "'");
+    return v;
+}
+
 std::uint64_t parseByteSize(const std::string& flag, const std::string& s) {
-    std::size_t pos = 0;
-    unsigned long long v = 0;
-    try {
-        v = std::stoull(s, &pos);
-    } catch (const std::exception&) {
-        usage(flag + ": malformed byte count '" + s + "'");
-    }
     std::uint64_t mult = 1;
-    if (pos < s.size()) {
-        if (pos + 1 != s.size()) usage(flag + ": malformed byte count '" + s + "'");
-        switch (std::tolower(static_cast<unsigned char>(s[pos]))) {
+    std::string digits = s;
+    if (!s.empty() && std::isalpha(static_cast<unsigned char>(s.back()))) {
+        switch (std::tolower(static_cast<unsigned char>(s.back()))) {
             case 'k': mult = std::uint64_t{1} << 10; break;
             case 'm': mult = std::uint64_t{1} << 20; break;
             case 'g': mult = std::uint64_t{1} << 30; break;
-            default: usage(flag + ": unknown suffix '" + s.substr(pos) + "'");
+            default: usage(flag + ": unknown suffix '" + s.substr(s.size() - 1) + "'");
         }
+        digits.pop_back();
     }
-    return static_cast<std::uint64_t>(v) * mult;
+    const std::uint64_t v = parseNumber<std::uint64_t>(flag, digits);
+    if (v > std::numeric_limits<std::uint64_t>::max() / mult)
+        usage(flag + ": byte count '" + s + "' overflows 64 bits");
+    return v * mult;
 }
 
 // Signal-aware line reader over a raw fd: poll + read so SIGTERM wakes a
@@ -158,20 +169,20 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage("flag " + arg + " needs a value");
             return argv[++i];
         };
-        if (arg == "--workers") cfg.workers = std::stoi(value());
-        else if (arg == "--queue") cfg.queueLimit = std::stoi(value());
-        else if (arg == "--deadline") cfg.defaultDeadlineSeconds = std::stod(value());
-        else if (arg == "--grace") cfg.graceSeconds = std::stod(value());
-        else if (arg == "--drain-grace") cfg.drainGraceSeconds = std::stod(value());
-        else if (arg == "--history") cfg.historyLimit = std::stoi(value());
-        else if (arg == "--mem-limit") cfg.memLimitBytes = parseByteSize("--mem-limit", value());
+        if (arg == "--workers") cfg.workers = parseNumber<int>(arg, value());
+        else if (arg == "--queue") cfg.queueLimit = parseNumber<int>(arg, value());
+        else if (arg == "--deadline")
+            cfg.defaultDeadlineSeconds = parseNumber<double>(arg, value());
+        else if (arg == "--grace") cfg.graceSeconds = parseNumber<double>(arg, value());
+        else if (arg == "--drain-grace") cfg.drainGraceSeconds = parseNumber<double>(arg, value());
+        else if (arg == "--history") cfg.historyLimit = parseNumber<int>(arg, value());
+        else if (arg == "--mem-limit") cfg.memLimitBytes = parseByteSize(arg, value());
         else if (arg == "--socket") socketPath = value();
-        else if (arg == "--pool") cfg.usePool = true;
-        else if (arg == "--cache") cfg.cacheEntries = std::stoi(value());
-        else if (arg == "--per-client") cfg.perClientInFlight = std::stoi(value());
+        else if (arg == "--cache") cfg.cacheEntries = parseNumber<int>(arg, value());
+        else if (arg == "--per-client") cfg.perClientInFlight = parseNumber<int>(arg, value());
         else if (arg == "--state-dir") cfg.stateDir = value();
         else if (arg == "--max-line")
-            fecfg.maxLineBytes = static_cast<std::size_t>(parseByteSize("--max-line", value()));
+            fecfg.maxLineBytes = static_cast<std::size_t>(parseByteSize(arg, value()));
         else if (arg == "--help" || arg == "-h") usage();
         else usage("unknown flag '" + arg + "'");
     }
