@@ -47,7 +47,10 @@ public:
     [[nodiscard]] NetId numNetsAdded() const { return static_cast<NetId>(netOffsets_.size() - 1); }
 
     /// Validates and constructs the immutable hypergraph. The builder is
-    /// consumed (rvalue-qualified) so large pin arrays are moved, not copied.
+    /// consumed (rvalue-qualified): nets are normalized in place and the
+    /// pin arrays moved, not copied. Surviving nets keep their input order;
+    /// a parallel net merges into its first occurrence. The merge uses one
+    /// flat open-addressing table, with no allocation per net.
     [[nodiscard]] Hypergraph build() &&;
 
 private:

@@ -1,7 +1,10 @@
 #include "hypergraph/io.h"
 
+#include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -21,6 +24,105 @@ namespace {
 // pin bookkeeping multiplies counts, so ids near INT32_MAX would overflow.
 constexpr std::int64_t kMaxDeclaredCount = std::int64_t{1} << 30;
 
+// hMETIS stores weights as C ints. Holding them there also keeps every sum
+// the library forms from them (merged parallel nets, module gains, total
+// area over at most 2^30 modules or nets) inside int64.
+constexpr std::int64_t kMaxWeight = std::numeric_limits<std::int32_t>::max();
+
+// Token separators within a line: isspace() minus the line break.
+constexpr bool isBlank(char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+const char* skipBlanks(const char* p, const char* end) {
+    while (p != end && isBlank(*p)) ++p;
+    return p;
+}
+
+// Parses the integer token starting at `p` (one optional sign). Values
+// beyond int64 saturate, so the caller's range check rejects them. Returns
+// the end of the token, or nullptr when the token is not a whole integer.
+const char* parseInt(const char* p, const char* end, std::int64_t& out) {
+    if (p != end && *p == '+') {
+        ++p;
+        if (p == end || *p == '-') return nullptr;
+    }
+    const auto [q, ec] = std::from_chars(p, end, out);
+    if (ec == std::errc::invalid_argument) return nullptr;
+    if (ec == std::errc::result_out_of_range)
+        out = *p == '-' ? std::numeric_limits<std::int64_t>::min()
+                        : std::numeric_limits<std::int64_t>::max();
+    if (q != end && !isBlank(*q)) return nullptr;
+    return q;
+}
+
+// Cursor over the data lines of .hgr text: blank lines and lines whose
+// first non-blank character is '%' are skipped.
+class HgrLines {
+public:
+    explicit HgrLines(std::string_view text) : text_(text) {}
+
+    // Sets [begin, end) to the next data line, starting at its first
+    // non-blank character; returns false at the end of the text.
+    bool next(const char*& begin, const char*& end) {
+        while (pos_ < text_.size()) {
+            const char* line = text_.data() + pos_;
+            const std::size_t left = text_.size() - pos_;
+            const auto* nl = static_cast<const char*>(std::memchr(line, '\n', left));
+            const std::size_t len = nl ? static_cast<std::size_t>(nl - line) : left;
+            pos_ += len + (nl ? 1 : 0);
+            ++lineNo_;
+            begin = skipBlanks(line, line + len);
+            end = line + len;
+            if (begin != end && *begin != '%') return true;
+        }
+        return false;
+    }
+
+    [[noreturn]] void error(const char* message) const {
+        parseError(std::string("readHgr: ") + message + " (line " + std::to_string(lineNo_) + ")");
+    }
+
+private:
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    std::int64_t lineNo_ = 0;
+};
+
+HgrHeader parseHeader(HgrLines& lines, std::int64_t sizeHint) {
+    const char* p = nullptr;
+    const char* end = nullptr;
+    if (!lines.next(p, end)) parseError("readHgr: empty input");
+    HgrHeader h;
+    p = parseInt(p, end, h.numNets);
+    if (p) p = parseInt(skipBlanks(p, end), end, h.numModules);
+    if (!p) lines.error("malformed header");
+    p = skipBlanks(p, end);
+    std::int64_t fmt = 0; // optional
+    if (p != end) {
+        p = parseInt(p, end, fmt);
+        if (!p) lines.error("malformed fmt code");
+        if (skipBlanks(p, end) != end) lines.error("malformed header");
+    }
+    if (h.numNets < 0 || h.numModules < 0) parseError("readHgr: negative counts");
+    if (h.numNets > kMaxDeclaredCount || h.numModules > kMaxDeclaredCount)
+        parseError("readHgr: header count exceeds the 2^30 limit");
+    if (sizeHint >= 0) {
+        // Every net needs its own line (>= 2 bytes); every module weight
+        // line likewise. Reject headers no file of this size could back
+        // *before* the builder allocates per-module storage.
+        if (h.numNets > sizeHint / 2 + 16)
+            parseError("readHgr: header declares " + std::to_string(h.numNets) +
+                       " nets, implausible for a " + std::to_string(sizeHint) + "-byte file");
+        if (h.numModules > 8 * sizeHint + 1024)
+            parseError("readHgr: header declares " + std::to_string(h.numModules) +
+                       " modules, implausible for a " + std::to_string(sizeHint) + "-byte file");
+    }
+    if (fmt != 0 && fmt != 1 && fmt != 10 && fmt != 11) parseError("readHgr: unsupported fmt code");
+    h.fmt = static_cast<int>(fmt);
+    return h;
+}
+
 // Reads the next non-comment, non-empty line; returns false on EOF.
 bool nextLine(std::istream& in, std::string& line) {
     while (std::getline(in, line)) {
@@ -32,42 +134,20 @@ bool nextLine(std::istream& in, std::string& line) {
     return false;
 }
 
-// Returns the size of `path` in bytes, or -1 when it cannot be determined
-// (the reader then skips the plausibility caps, not the absolute ones).
-std::int64_t fileSizeHint(const std::string& path) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec) return -1;
-    return static_cast<std::int64_t>(size);
-}
-
 } // namespace
 
-Hypergraph readHgr(std::istream& in, std::int64_t sizeHint) {
-    std::string line;
-    if (!nextLine(in, line)) parseError("readHgr: empty input");
-    std::istringstream header(line);
-    std::int64_t numNets = 0, numModules = 0;
-    int fmt = 0;
-    if (!(header >> numNets >> numModules)) parseError("readHgr: malformed header");
-    header >> fmt; // optional
-    if (numNets < 0 || numModules < 0) parseError("readHgr: negative counts");
-    if (numNets > kMaxDeclaredCount || numModules > kMaxDeclaredCount)
-        parseError("readHgr: header count exceeds the 2^30 limit");
-    if (sizeHint >= 0) {
-        // Every net needs its own line (>= 2 bytes); every module weight
-        // line likewise. Reject headers no file of this size could back
-        // *before* the builder allocates per-module storage.
-        if (numNets > sizeHint / 2 + 16)
-            parseError("readHgr: header declares " + std::to_string(numNets) +
-                       " nets, implausible for a " + std::to_string(sizeHint) + "-byte file");
-        if (numModules > 8 * sizeHint + 1024)
-            parseError("readHgr: header declares " + std::to_string(numModules) +
-                       " modules, implausible for a " + std::to_string(sizeHint) + "-byte file");
-    }
-    if (fmt != 0 && fmt != 1 && fmt != 10 && fmt != 11) parseError("readHgr: unsupported fmt code");
-    const bool netWeights = (fmt == 1 || fmt == 11);
-    const bool moduleWeights = (fmt == 10 || fmt == 11);
+HgrHeader readHgrHeader(std::string_view text, std::int64_t sizeHint) {
+    HgrLines lines(text);
+    return parseHeader(lines, sizeHint);
+}
+
+Hypergraph readHgrText(std::string_view text, std::int64_t sizeHint) {
+    HgrLines lines(text);
+    const HgrHeader header = parseHeader(lines, sizeHint);
+    const std::int64_t numNets = header.numNets;
+    const std::int64_t numModules = header.numModules;
+    const bool netWeights = (header.fmt == 1 || header.fmt == 11);
+    const bool moduleWeights = (header.fmt == 10 || header.fmt == 11);
 
     // Builder allocation path is memory-governed: an instance whose
     // per-module/per-net storage alone exceeds a --mem-limit budget fails
@@ -77,37 +157,59 @@ Hypergraph readHgr(std::istream& in, std::int64_t sizeHint) {
 
     HypergraphBuilder b(static_cast<ModuleId>(numModules));
     std::vector<ModuleId> pins;
+    const char* p = nullptr;
+    const char* end = nullptr;
     for (std::int64_t e = 0; e < numNets; ++e) {
-        if (!nextLine(in, line)) parseError("readHgr: truncated net list");
-        std::istringstream ls(line);
-        Weight w = 1;
-        if (netWeights && !(ls >> w)) parseError("readHgr: missing net weight");
-        if (w < 1) parseError("readHgr: net weight must be >= 1");
+        if (!lines.next(p, end)) parseError("readHgr: truncated net list");
+        std::int64_t w = 1;
+        if (netWeights) {
+            p = parseInt(p, end, w);
+            if (!p) lines.error("malformed net weight");
+            if (w < 1) lines.error("net weight must be >= 1");
+            if (w > kMaxWeight) lines.error("net weight exceeds the 2^31-1 limit");
+        }
         pins.clear();
-        std::int64_t id = 0;
-        while (ls >> id) {
-            if (id < 1 || id > numModules) parseError("readHgr: pin id out of range");
+        for (p = skipBlanks(p, end); p != end; p = skipBlanks(p, end)) {
+            std::int64_t id = 0;
+            p = parseInt(p, end, id);
+            if (!p) lines.error("malformed pin id");
+            if (id < 1 || id > numModules) lines.error("pin id out of range");
             pins.push_back(static_cast<ModuleId>(id - 1));
         }
-        if (pins.empty()) parseError("readHgr: net with no pins");
+        if (pins.empty()) lines.error("net with no pins");
         b.addNet(pins, w);
     }
     if (moduleWeights) {
         for (std::int64_t v = 0; v < numModules; ++v) {
-            if (!nextLine(in, line)) parseError("readHgr: truncated module weights");
-            std::istringstream ls(line);
-            Area a = 0;
-            if (!(ls >> a)) parseError("readHgr: malformed module weight");
+            if (!lines.next(p, end)) parseError("readHgr: truncated module weights");
+            std::int64_t a = 0;
+            p = parseInt(p, end, a);
+            if (!p || skipBlanks(p, end) != end) lines.error("malformed module weight");
+            if (a < 0) lines.error("negative module weight");
+            if (a > kMaxWeight) lines.error("module weight exceeds the 2^31-1 limit");
             b.setArea(static_cast<ModuleId>(v), a);
         }
     }
     return std::move(b).build();
 }
 
+Hypergraph readHgr(std::istream& in, std::int64_t sizeHint) {
+    std::ostringstream text;
+    text << in.rdbuf();
+    return readHgrText(text.view(), sizeHint);
+}
+
 Hypergraph readHgrFile(const std::string& path) {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in) parseError("readHgrFile: cannot open " + path);
-    return readHgr(in, fileSizeHint(path));
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    if (ec) return readHgr(in); // no size to read by (or to plausibility-check against)
+    robust::MemoryGovernor::instance().guardTransient(size);
+    std::string text(size, '\0');
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+    return readHgrText(text, static_cast<std::int64_t>(size));
 }
 
 void writeHgr(const Hypergraph& h, std::ostream& out) {

@@ -16,23 +16,46 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/partition.h"
 
 namespace mlpart {
 
-/// Parses an .hgr stream. Throws robust::Error with StatusCode::kParseError
-/// (a std::runtime_error) on malformed input.
+/// Declared counts and format code from the header line of an .hgr file.
+struct HgrHeader {
+    std::int64_t numNets = 0;
+    std::int64_t numModules = 0;
+    int fmt = 0; ///< 0, 1, 10 or 11
+};
+
+/// Parses the header of .hgr text (its first line that is neither blank
+/// nor a '%' comment), applying every check the full reader applies to it:
+/// the `<numNets> <numModules> [fmt]` grammar, non-negative counts, the
+/// 2^30 cap, the `sizeHint` plausibility caps and a supported fmt code.
+/// Throws robust::Error (kParseError) otherwise. Looks no further than the
+/// header line, so a prefix of the input is enough.
+[[nodiscard]] HgrHeader readHgrHeader(std::string_view text, std::int64_t sizeHint = -1);
+
+/// Parses .hgr text in one pass over the buffer. Throws robust::Error with
+/// StatusCode::kParseError (a std::runtime_error) on malformed input: every
+/// token must be a whole integer in range, so trailing garbage, overflowing
+/// ids and stray fields are rejected, never skipped.
 ///
 /// `sizeHint` is the input size in bytes when known (readHgrFile passes the
 /// file size): header counts implying more nets/modules than a file of that
 /// size could possibly describe are rejected *before* any allocation, so a
 /// hostile header cannot trigger a multi-gigabyte reserve. Counts are
 /// always capped at 2^30 regardless of the hint (ModuleId/NetId are
-/// 32-bit). Pass -1 (default) when the size is unknown.
+/// 32-bit), and net and module weights at 2^31-1. Pass -1 (default) when
+/// the size is unknown.
+[[nodiscard]] Hypergraph readHgrText(std::string_view text, std::int64_t sizeHint = -1);
+/// Reads the whole stream, then parses it with readHgrText.
 [[nodiscard]] Hypergraph readHgr(std::istream& in, std::int64_t sizeHint = -1);
-/// Parses an .hgr file by path. Throws robust::Error if unreadable.
+/// Reads an .hgr file with one read and parses it with readHgrText, the
+/// file size serving as the size hint. Throws robust::Error if unreadable.
 [[nodiscard]] Hypergraph readHgrFile(const std::string& path);
 
 /// Writes `h` in .hgr format. Net weights are emitted (fmt=1) when any net

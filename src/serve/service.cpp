@@ -8,7 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
+#include "hypergraph/io.h"
 #include "robust/memory_governor.h"
 #include "robust/status.h"
 
@@ -32,18 +34,19 @@ std::string inflightKey(std::uint64_t client, const std::string& id) {
     return std::to_string(client) + ":" + id;
 }
 
-/// First data line of an .hgr header: "numNets numModules [fmt]".
-bool parseHgrHeader(const std::string& text, std::int64_t& nets, std::int64_t& modules) {
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::size_t i = 0;
-        while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
-        if (i >= line.size() || line[i] == '%') continue;
-        std::istringstream fields(line);
-        return static_cast<bool>(fields >> nets >> modules) && nets >= 0 && modules > 0;
+/// Declared counts of an .hgr header, under the reader's own grammar and
+/// checks. A header the reader would reject gets no estimate: the job is
+/// admitted and its worker reports the parse error.
+bool parseHgrCounts(std::string_view text, std::int64_t sizeHint, std::int64_t& nets,
+                    std::int64_t& modules) {
+    try {
+        const HgrHeader header = readHgrHeader(text, sizeHint);
+        nets = header.numNets;
+        modules = header.numModules;
+        return true;
+    } catch (const robust::Error&) {
+        return false;
     }
-    return false;
 }
 
 /// .netD/.net header: "magic numPins numNets numModules padOffset" — five
@@ -67,7 +70,8 @@ std::uint64_t Service::estimateJobBytes(const JobRequest& req) {
     std::uint64_t bytes = 0;
     if (!req.inlineHgr.empty()) {
         bytes = req.inlineHgr.size();
-        if (!parseHgrHeader(req.inlineHgr, nets, modules)) return 0;
+        if (!parseHgrCounts(req.inlineHgr, static_cast<std::int64_t>(bytes), nets, modules))
+            return 0;
     } else {
         const std::filesystem::path p(req.instance);
         const std::string ext = p.extension().string();
@@ -82,7 +86,7 @@ std::uint64_t Service::estimateJobBytes(const JobRequest& req) {
             in.read(head.data(), static_cast<std::streamsize>(head.size()));
             head.resize(static_cast<std::size_t>(in.gcount()));
             if (ext == ".hgr") {
-                if (!parseHgrHeader(head, nets, modules)) return 0;
+                if (!parseHgrCounts(head, static_cast<std::int64_t>(bytes), nets, modules)) return 0;
             } else {
                 if (!parseNetDHeader(head, pins, nets, modules)) return 0;
             }

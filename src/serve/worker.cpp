@@ -3,7 +3,6 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
-#include <sstream>
 #include <string>
 
 #include "core/multilevel.h"
@@ -37,10 +36,8 @@ using robust::Error;
 using robust::StatusCode;
 
 Hypergraph loadInstance(const JobRequest& req) {
-    if (!req.inlineHgr.empty()) {
-        std::istringstream in(req.inlineHgr);
-        return readHgr(in, static_cast<std::int64_t>(req.inlineHgr.size()));
-    }
+    if (!req.inlineHgr.empty())
+        return readHgrText(req.inlineHgr, static_cast<std::int64_t>(req.inlineHgr.size()));
     const std::filesystem::path p(req.instance);
     const std::string ext = p.extension().string();
     if (ext == ".hgr") return readHgrFile(req.instance);

@@ -8,9 +8,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 
+#include "check/verify_hypergraph.h"
+#include "hgr_oracle.h"
 #include "hypergraph/bench_format.h"
 #include "hypergraph/io.h"
 #include "hypergraph/netd_format.h"
@@ -44,6 +47,13 @@ const CorruptCase kCases[] = {
     {"net_no_pins.hgr", "net with no pins"},
     {"zero_weight.hgr", "net weight must be >= 1"},
     {"bad_module_weight.hgr", "malformed module weight"},
+    {"garbage_pin_token.hgr", "malformed pin id (line 2)"},     // "1 2 x 3"
+    {"pin_id_overflow.hgr", "pin id out of range (line 3)"},    // 20-digit id
+    {"module_weight_suffix.hgr", "malformed module weight"},    // "5x"
+    {"header_garbage_fmt.hgr", "malformed fmt code (line 1)"},  // "1 3 abc"
+    {"negative_module_weight.hgr", "negative module weight"},   // "-3", fmt 10
+    {"huge_net_weight.hgr", "net weight exceeds the 2^31-1 limit"},
+    {"huge_module_weight.hgr", "module weight exceeds the 2^31-1 limit"},
     {"bad_header.netD", "malformed header"},
     {"pin_count_lie.netD", "header declares 5 pins, file contains 4"},
     {"huge_pins.netD", "implausible for a"},
@@ -244,6 +254,96 @@ TEST(CorruptCorpus, EveryCacheFixtureLoadsOnlyTrustworthyEntries) {
         EXPECT_FALSE(cache.lookup(0x3333, out));
         EXPECT_FALSE(cache.lookup(0x4444, out));
     }
+}
+
+// Seeded byte mutations of small valid .hgr files: bit flips, truncations,
+// inserted digit runs, inserted garbage, inserted signs and duplicated
+// lines, one to three per mutant. Every mutant must either parse into a
+// hypergraph that passes check::verifyHypergraph or be rejected with
+// kParseError — no other exception, no crash, and (under ASan+UBSan) no
+// memory error or overflow. A mutant the historical reader also accepts
+// must come out identical to its result.
+TEST(CorruptCorpus, SeededByteMutantsParseOrFailWithParseError) {
+    const std::string bases[] = {
+        "% mutation base, fmt 11\n"
+        "10 8 11\n2 1 2 3\n1 2 4\n3 3 5 6 7\n1 1 8\n4 4 5\n1 6 7 8\n2 2 3\n"
+        "1 1 5 8\n5 7 8\n1 3 4 6\n1\n2\n3\n1\n1\n4\n2\n1\n",
+        "6 7\r\n1 2\r\n2 3 4\r\n\r\n4 5\t6\r\n% comment\r\n6 7 1\r\n3 5\r\n1 7\r\n",
+    };
+    std::mt19937_64 rng(20261017);
+    const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+    int accepted = 0;
+    int rejected = 0;
+    int comparedWithOracle = 0;
+    for (int i = 0; i < 4000; ++i) {
+        std::string text = bases[i % 2];
+        const int ops = 1 + static_cast<int>(pick(3));
+        for (int op = 0; op < ops && !text.empty(); ++op) {
+            const std::size_t pos = pick(text.size());
+            switch (pick(6)) {
+            case 0: text[pos] = static_cast<char>(text[pos] ^ (1 << pick(8))); break;
+            case 1: text.resize(pos); break;
+            case 2: {
+                std::string digits(1 + pick(24), '0');
+                for (char& c : digits) c = static_cast<char>('0' + pick(10));
+                text.insert(pos, digits);
+                break;
+            }
+            case 3: {
+                // Half the bytes come from the format's own punctuation,
+                // so signs, comments and line breaks land mid-token.
+                static constexpr char kPunct[] = " -+%\t\r\n\v";
+                std::string garbage(1 + pick(6), '\0');
+                for (char& c : garbage)
+                    c = pick(2) ? kPunct[pick(sizeof kPunct - 1)] : static_cast<char>(pick(256));
+                text.insert(pos, garbage);
+                break;
+            }
+            case 4: {
+                // A sign in front of a whole number: negative ids, weights
+                // and counts.
+                std::size_t at = pos;
+                while (at > 0 && text[at - 1] >= '0' && text[at - 1] <= '9') --at;
+                text.insert(at, 1, pick(4) ? '-' : '+');
+                break;
+            }
+            default: {
+                const std::size_t prev = pos == 0 ? std::string::npos : text.rfind('\n', pos - 1);
+                const std::size_t begin = prev == std::string::npos ? 0 : prev + 1;
+                const std::size_t nl = text.find('\n', pos);
+                const std::size_t end = nl == std::string::npos ? text.size() : nl + 1;
+                text.insert(end, text.substr(begin, end - begin));
+                break;
+            }
+            }
+        }
+        SCOPED_TRACE("mutant " + std::to_string(i));
+        try {
+            const Hypergraph h = readHgrText(text, static_cast<std::int64_t>(text.size()));
+            ++accepted;
+            const check::CheckResult r = check::verifyHypergraph(h);
+            ASSERT_TRUE(r.ok()) << r.summary();
+            Hypergraph want;
+            try {
+                want = testing::referenceReadHgr(text, static_cast<std::int64_t>(text.size()));
+            } catch (const std::exception&) {
+                continue; // the historical reader refused it; nothing to compare
+            }
+            ++comparedWithOracle;
+            const check::CheckResult same = check::verifyIdenticalHypergraphs(h, want);
+            ASSERT_TRUE(same.ok()) << same.summary();
+        } catch (const robust::Error& e) {
+            ++rejected;
+            ASSERT_EQ(e.code(), robust::StatusCode::kParseError) << e.what();
+        } catch (const std::exception& e) {
+            FAIL() << "mutant threw a non-parse error: " << e.what();
+        }
+    }
+    // Both outcomes must be well represented, or the mutator is too weak
+    // (or too destructive) to test anything.
+    EXPECT_GT(accepted, 400);
+    EXPECT_GT(rejected, 400);
+    EXPECT_GT(comparedWithOracle, 200);
 }
 
 // The size-hint cap must not reject legitimate streams where no hint is

@@ -350,6 +350,10 @@ TEST(ServeWorker, ClassifiesInfeasibleAndParseErrors) {
     JobRequest garbage = tinyRequest("g");
     garbage.inlineHgr = "not a header\n";
     EXPECT_EQ(executeJob(garbage, nullptr).status.code, StatusCode::kParseError);
+    // A negative module weight is bad input, not an internal error.
+    JobRequest negativeArea = tinyRequest("a");
+    negativeArea.inlineHgr = "1 3 10\n1 2\n-3\n2\n3\n";
+    EXPECT_EQ(executeJob(negativeArea, nullptr).status.code, StatusCode::kParseError);
 }
 
 // ------------------------------------------------------- supervision
