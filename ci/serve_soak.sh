@@ -406,9 +406,16 @@ fi
 
 # ---------------------------------------------------------------- phase 3
 # Durable state: SIGKILL mid-barrage, restart on the same --state-dir.
+# The jobs run on a 1500-module ring-with-chords instance: about 0.1 s
+# each in a Release build and seconds under ASan, so the kill lands with
+# most of the barrage still queued or running on either build.
 
 state="$work/state"
 njobs=30
+hgr3=$(python3 -c '
+n = 1500
+nets = [sorted({i + 1, (i + 1) % n + 1, (i * 37 + 11) % n + 1}) for i in range(n)]
+print("%d %d\\n" % (len(nets), n) + "".join(" ".join(map(str, e)) + "\\n" for e in nets))')
 mkfifo "$work/in3"
 "$serve" --workers 2 --queue 64 --grace 1 --drain-grace 0.2 \
     --state-dir "$state" \
@@ -417,8 +424,8 @@ pid=$!
 exec 5>"$work/in3"
 
 for i in $(seq 1 "$njobs"); do
-    printf '{"op":"partition","id":"dur-%d","hgr":"%s","runs":400,"seed":%d,"priority":%d}\n' \
-        "$i" "$hgr" $((4000 + i)) $((i % 4)) >&5
+    printf '{"op":"partition","id":"dur-%d","hgr":"%s","runs":4,"seed":%d,"priority":%d}\n' \
+        "$i" "$hgr3" $((4000 + i)) $((i % 4)) >&5
 done
 
 # Let a few jobs complete so the crash straddles done-and-delivered,
@@ -432,6 +439,12 @@ kill -KILL "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 exec 5>&-
 rm -f "$work/in3"
+prekill=$(grep -c '"event":"result"' "$work/dur_a.ndjson" 2>/dev/null || true)
+if [ "${prekill:-0}" -ge "$njobs" ]; then
+    echo "serve_soak.sh: all $njobs durable-phase jobs answered before the SIGKILL," \
+        "so the crash hit no outstanding work; make the jobs bigger" >&2
+    exit 1
+fi
 
 mkfifo "$work/in3b"
 "$serve" --workers 2 --queue 64 --grace 1 --drain-grace 0.2 \

@@ -57,7 +57,7 @@ public:
     /// Weight of net `e` in cut objectives.
     [[nodiscard]] Weight netWeight(NetId e) const { return netWeights_[e]; }
     /// Flat per-net weight array (size numNets()) — the refinement
-    /// engines' SIMD classification sweeps (perf/simd.h) consume it whole.
+    /// engines' classification sweeps (perf/simd.h) consume it whole.
     [[nodiscard]] const Weight* netWeightData() const { return netWeights_.data(); }
 
     /// Optional human-readable name of module `v` (empty if none were set).

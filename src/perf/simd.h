@@ -1,23 +1,13 @@
-// Portable SIMD kernel layer for the refinement hot path.
+// Pass-start classification kernels for the refinement hot path.
 //
 // The FM engines' pass-start sweeps (gain recompute, boundary detection,
 // k-way frozen-gain init) are pure data-parallel classification over flat
 // arrays: interleaved per-net pin counts pc[2e + side], net weights, and
-// active flags. This library provides those sweeps as runtime-dispatched
-// kernels — an AVX2 and an SSE4.2 implementation behind a shim that falls
-// back to portable scalar code — with one hard rule: every tier computes
-// BIT-IDENTICAL results. All arithmetic is exact integer math, lane order
-// never affects a sum, and the differential tests (tests/simd_test.cpp,
-// fuzz_invariants --simd) enforce equality across tiers on every platform.
-//
-// Dispatch is resolved once per process from CPUID, clamped by the
-// MLPART_SIMD environment variable:
-//   MLPART_SIMD=off|scalar   force the scalar fallback (sanitizer CI runs
-//                            this leg so both code paths stay exercised)
-//   MLPART_SIMD=sse4         cap at SSE4.2
-//   MLPART_SIMD=avx2         request AVX2 (clamped to what the CPU has)
-//   MLPART_SIMD=auto / unset highest supported tier
-// Tests may also pin the tier programmatically via forceTier().
+// active flags. This library provides those sweeps as one portable,
+// branch-free scalar kernel set the compiler is free to auto-vectorize.
+// All arithmetic is exact integer math, so a sum never depends on
+// accumulation order; the formulas documented below are the semantic
+// definition tests/simd_test.cpp checks each kernel against.
 #pragma once
 
 #include <cstddef>
@@ -27,23 +17,14 @@
 
 namespace mlpart::perf {
 
-/// Instruction-set tier driving the kernels, ordered by capability.
-enum class SimdTier : int { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
+/// Kernel implementation tier. There is exactly one; the type and
+/// activeTier() remain so environment records (e2ebench) keep naming it.
+enum class SimdTier : int { kScalar = 0 };
 
 [[nodiscard]] const char* toString(SimdTier t);
 
-/// The tier the kernels run at: min(highest CPU-supported tier, the
-/// MLPART_SIMD cap, any forceTier() override). Resolved lazily, cached.
+/// Always SimdTier::kScalar.
 [[nodiscard]] SimdTier activeTier();
-
-/// Highest tier this CPU supports (ignores the env cap and overrides).
-[[nodiscard]] SimdTier cpuTier();
-
-/// Test hook: pin the dispatch to `t` (clamped to cpuTier()) for this
-/// process until clearForcedTier(). Not thread-safe against concurrent
-/// kernel calls — call from test setup only.
-void forceTier(SimdTier t);
-void clearForcedTier();
 
 /// Per-net hot record for the bipartition engines, sized and aligned so
 /// one 16-byte load covers everything the FM inner loops need about a
@@ -64,15 +45,17 @@ static_assert(sizeof(NetHot) == 16, "NetHot must stay one 16-byte record");
 /// Bipartition pass-start net classification. For every net e in [0, m),
 /// with a = (activeNet[e] != 0), p0 = pc[2e], p1 = pc[2e+1], w = weight[e]:
 ///
-///   sideGain[e]     = a ? (p0 == 1 ? +w : p1 == 0 ? -w : 0) : 0
-///   sideGain[m + e] = a ? (p1 == 1 ? +w : p0 == 0 ? -w : 0) : 0
+///   sideGain[e]     = a ? w * ((p0 == 1) - (p1 == 0)) : 0
+///   sideGain[m + e] = a ? w * ((p1 == 1) - (p0 == 0)) : 0
 ///   cut[e]          = (a && p0 > 0 && p1 > 0) ? 1 : 0
 ///
 /// i.e. the classic FM gain contribution of net e to a module on side 0
 /// (plane 0) and side 1 (plane 1), as structure-of-arrays planes, plus a
-/// boundary flag. A module's full gain is then the branch-free sum of its
-/// plane entries (gatherSum). `sideGain` must hold 2*m entries, `cut` m.
-/// `cut` may be nullptr when boundary flags are not needed.
+/// boundary flag. The two terms cancel on a one-pin net (p = {1, 0}),
+/// which no move can cut or uncut. A module's full gain is then the
+/// branch-free sum of its plane entries (gatherSum). `sideGain` must hold
+/// 2*m entries, `cut` m. `cut` may be nullptr when boundary flags are not
+/// needed.
 void classifyNets(const std::int32_t* pc, const char* activeNet, const Weight* netWeight,
                   std::size_t m, Weight* sideGain, char* cut);
 
@@ -89,8 +72,8 @@ void classifyNets(const std::int32_t* pc, const char* activeNet, const Weight* n
 void classifyNetsHot(const NetHot* nets, std::size_t m, Weight* sideGain, char* cut);
 
 /// Sum of plane[idx[i]] for i in [0, count) — the per-module gain gather
-/// over a classification plane. Exact integer math: identical across tiers
-/// and accumulation orders.
+/// over a classification plane. Exact integer math: identical for every
+/// accumulation order.
 [[nodiscard]] Weight gatherSum(const Weight* plane, const NetId* idx, std::size_t count);
 
 /// K-way pass-start count classification. For every net e in [0, m) with

@@ -178,7 +178,7 @@ void FMRefiner::buildBuckets(const Partition& part) {
     const ModuleId n = h_.numModules();
     const bool useCache = cfg_.fastPassInit && gainsValid_;
     // Pass-start gains, restructured for the memory system. While the
-    // planes fit in cache, one SIMD sweep (perf::classifyNetsHot) folds the
+    // planes fit in cache, one branch-free sweep (perf::classifyNetsHot) folds the
     // per-net hot records into two branch-free per-net gain planes —
     // sideGain[s][e] is what a side-s pin of net e contributes — after
     // which each module's gain is a straight sum over its CSR-contiguous
@@ -186,7 +186,7 @@ void FMRefiner::buildBuckets(const Partition& part) {
     // per-module recompute over the same records wins (the plane write
     // traffic would evict applyMove's working set). Arithmetic and
     // summation order match computeGain() exactly (int64, net order), so
-    // the buckets are bit-identical on every tier and on both paths.
+    // the buckets are bit-identical on both paths.
     const std::size_t mSz = static_cast<std::size_t>(h_.numNets());
     const Weight* plane[2] = {nullptr, nullptr};
     const char* cutFlag = nullptr;

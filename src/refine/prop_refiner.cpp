@@ -216,7 +216,7 @@ Weight parallelPrePass(const Hypergraph& h, Partition& part, const BalanceConstr
     Weight total = 0;
     for (int round = 0; round < cfg.rounds; ++round) {
         // Score: immediate FM gain of every free module, from pin counts
-        // and the assignment frozen at the round boundary. One SIMD sweep
+        // and the assignment frozen at the round boundary. One branch-free sweep
         // (perf::classifyNets) turns the frozen counts into per-side gain
         // planes; each module's score is then a branch-free plane sum —
         // bit-identical to the per-net probe it replaces. Chunks write

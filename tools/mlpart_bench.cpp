@@ -55,9 +55,7 @@
 //                     so it is gated separately and more loosely than
 //                     wall time)
 //
-// The selected SIMD dispatch tier (perf/simd.h — avx2/sse4/scalar, capped
-// by the MLPART_SIMD env var) is printed at startup and recorded in the
-// JSON; cuts are bit-identical across tiers, only speed differs.
+// A malformed numeric flag value exits 2 with the flag named.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -77,9 +75,10 @@
 #include "hypergraph/io.h"
 #include "hypergraph/stats.h"
 #include "core/multilevel.h"
-#include "perf/simd.h"
 #include "portfolio/portfolio.h"
 #include "refine/multistart.h"
+
+#include "flag_value.h"
 
 namespace {
 
@@ -149,6 +148,8 @@ struct Options {
     std::exit(2);
 }
 
+constexpr cli::FlagParser kFlag{usage};
+
 Options parseOptions(int argc, char** argv) {
     Options o;
     bool quick = false, full = false;
@@ -160,24 +161,26 @@ Options parseOptions(int argc, char** argv) {
         };
         if (arg == "--quick") quick = true;
         else if (arg == "--full") full = true;
-        else if (arg == "--runs") o.runs = std::stoi(value());
-        else if (arg == "--seed") o.seed = std::stoull(value());
-        else if (arg == "--threads") o.threads = std::stoi(value());
-        else if (arg == "--vcycle-threads") o.vcycleThreads = std::stoi(value());
+        else if (arg == "--runs") o.runs = kFlag.number<int>(arg, value());
+        else if (arg == "--seed") o.seed = kFlag.number<std::uint64_t>(arg, value());
+        else if (arg == "--threads") o.threads = kFlag.number<int>(arg, value());
+        else if (arg == "--vcycle-threads") o.vcycleThreads = kFlag.number<int>(arg, value());
         else if (arg == "--vcycle-sweep") {
             std::stringstream ss(value());
             std::string tok;
             while (std::getline(ss, tok, ','))
-                if (!tok.empty()) o.vcycleSweep.push_back(std::stoi(tok));
+                if (!tok.empty()) o.vcycleSweep.push_back(kFlag.number<int>(arg, tok));
         }
         else if (arg == "--engine") o.engine = value();
-        else if (arg == "--scale") o.scale = std::stod(value());
+        else if (arg == "--scale") o.scale = kFlag.number<double>(arg, value());
         else if (arg == "--profile") o.profile = true;
         else if (arg == "--portfolio") o.portfolio = true;
         else if (arg == "-o" || arg == "--out") o.out = value();
         else if (arg == "--compare") o.compare = value();
-        else if (arg == "--max-regression") o.maxRegressionPct = std::stod(value());
-        else if (arg == "--max-rss-regression") o.maxRssRegressionPct = std::stod(value());
+        else if (arg == "--max-regression")
+            o.maxRegressionPct = kFlag.number<double>(arg, value());
+        else if (arg == "--max-rss-regression")
+            o.maxRssRegressionPct = kFlag.number<double>(arg, value());
         else if (!arg.empty() && arg[0] == '-') usage("unknown flag " + arg);
         else o.instances.push_back(arg);
     }
@@ -385,7 +388,6 @@ void writeJson(const std::string& path, const Options& o, const std::vector<Inst
     j << "{\n"
       << "  \"schema\": \"mlpart-bench-v1\",\n"
       << "  \"engine\": \"" << o.engine << "\",\n"
-      << "  \"simd_tier\": \"" << perf::toString(perf::activeTier()) << "\",\n"
       << "  \"seed\": " << o.seed << ",\n"
       << "  \"threads\": " << o.threads << ",\n"
       << "  \"vcycle_threads\": " << o.vcycleThreads << ",\n"
@@ -481,8 +483,6 @@ std::map<std::string, BaselineEntry> readBaseline(const std::string& path) {
 
 int main(int argc, char** argv) {
     const Options o = parseOptions(argc, argv);
-    std::cout << "simd: " << perf::toString(perf::activeTier()) << " (cpu "
-              << perf::toString(perf::cpuTier()) << ")\n";
 
     std::vector<InstanceResult> results;
     EngineAgg engineAgg[portfolio::kEngineCount];

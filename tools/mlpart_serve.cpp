@@ -30,20 +30,18 @@ int main() {
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <iostream>
-#include <limits>
 #include <string>
-#include <system_error>
 
 #include "robust/fault_injector.h"
 #include "robust/status.h"
 #include "serve/front_end.h"
 #include "serve/service.h"
+
+#include "flag_value.h"
 
 using namespace mlpart;
 
@@ -76,35 +74,7 @@ extern "C" void onSignal(int) { g_drain.store(true, std::memory_order_relaxed); 
     std::exit(robust::exitCodeFor(robust::StatusCode::kUsage));
 }
 
-// Checked numeric flag value: the whole string must parse as a T, or the
-// run stops with a usage error (exit 2) naming the flag.
-template <typename T>
-T parseNumber(const std::string& flag, const std::string& s) {
-    T v{};
-    const char* end = s.data() + s.size();
-    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-    if (s.empty() || ec != std::errc() || ptr != end)
-        usage(flag + ": malformed number '" + s + "'");
-    return v;
-}
-
-std::uint64_t parseByteSize(const std::string& flag, const std::string& s) {
-    std::uint64_t mult = 1;
-    std::string digits = s;
-    if (!s.empty() && std::isalpha(static_cast<unsigned char>(s.back()))) {
-        switch (std::tolower(static_cast<unsigned char>(s.back()))) {
-            case 'k': mult = std::uint64_t{1} << 10; break;
-            case 'm': mult = std::uint64_t{1} << 20; break;
-            case 'g': mult = std::uint64_t{1} << 30; break;
-            default: usage(flag + ": unknown suffix '" + s.substr(s.size() - 1) + "'");
-        }
-        digits.pop_back();
-    }
-    const std::uint64_t v = parseNumber<std::uint64_t>(flag, digits);
-    if (v > std::numeric_limits<std::uint64_t>::max() / mult)
-        usage(flag + ": byte count '" + s + "' overflows 64 bits");
-    return v * mult;
-}
+constexpr cli::FlagParser kFlag{usage};
 
 // Signal-aware line reader over a raw fd: poll + read so SIGTERM wakes a
 // blocked service immediately (EINTR) instead of after the next request.
@@ -169,20 +139,22 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage("flag " + arg + " needs a value");
             return argv[++i];
         };
-        if (arg == "--workers") cfg.workers = parseNumber<int>(arg, value());
-        else if (arg == "--queue") cfg.queueLimit = parseNumber<int>(arg, value());
+        if (arg == "--workers") cfg.workers = kFlag.number<int>(arg, value());
+        else if (arg == "--queue") cfg.queueLimit = kFlag.number<int>(arg, value());
         else if (arg == "--deadline")
-            cfg.defaultDeadlineSeconds = parseNumber<double>(arg, value());
-        else if (arg == "--grace") cfg.graceSeconds = parseNumber<double>(arg, value());
-        else if (arg == "--drain-grace") cfg.drainGraceSeconds = parseNumber<double>(arg, value());
-        else if (arg == "--history") cfg.historyLimit = parseNumber<int>(arg, value());
-        else if (arg == "--mem-limit") cfg.memLimitBytes = parseByteSize(arg, value());
+            cfg.defaultDeadlineSeconds = kFlag.number<double>(arg, value());
+        else if (arg == "--grace") cfg.graceSeconds = kFlag.number<double>(arg, value());
+        else if (arg == "--drain-grace")
+            cfg.drainGraceSeconds = kFlag.number<double>(arg, value());
+        else if (arg == "--history") cfg.historyLimit = kFlag.number<int>(arg, value());
+        else if (arg == "--mem-limit") cfg.memLimitBytes = kFlag.byteSize(arg, value());
         else if (arg == "--socket") socketPath = value();
-        else if (arg == "--cache") cfg.cacheEntries = parseNumber<int>(arg, value());
-        else if (arg == "--per-client") cfg.perClientInFlight = parseNumber<int>(arg, value());
+        else if (arg == "--cache") cfg.cacheEntries = kFlag.number<int>(arg, value());
+        else if (arg == "--per-client")
+            cfg.perClientInFlight = kFlag.number<int>(arg, value());
         else if (arg == "--state-dir") cfg.stateDir = value();
         else if (arg == "--max-line")
-            fecfg.maxLineBytes = static_cast<std::size_t>(parseByteSize(arg, value()));
+            fecfg.maxLineBytes = static_cast<std::size_t>(kFlag.byteSize(arg, value()));
         else if (arg == "--help" || arg == "-h") usage();
         else usage("unknown flag '" + arg + "'");
     }
