@@ -17,7 +17,7 @@
 #include "lsmc/lsmc.h"
 #include "refine/fm_refiner.h"
 #include "refine/multistart.h"
-#include "robust/checkpoint.h" // hashCombine
+#include "robust/wire.h" // hashCombine
 #include "robust/fault_injector.h"
 #include "robust/memory_governor.h"
 #include "spectral/spectral.h"

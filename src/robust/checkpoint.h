@@ -10,17 +10,21 @@
 // and re-running the rest reconstructs exactly the state the interrupted
 // process would have reached.
 //
-// Format (version 1, little-endian; DESIGN.md §10 has the full layout):
+// Format (version 2): a sequence of robust records (wire.h, DESIGN.md §10
+// "Record codec"), tag u32 | len u64 | crc32 u32 | payload:
 //
-//   header   magic 'MLCK' u32 | version u32 | fingerprint u64 |
-//            sectionCount u32 | crc32(header bytes so far) u32
-//   section  tag u32 | payloadLen u64 | crc32(payload) u32 | payload
+//   'MLCK'   version u32 | fingerprint u64 | sectionCount u32
+//   meta     seed u64 | runs i32
+//   records  count i32, then per completed start its StartRecord
+//   best     bestRun i32 | bestCut i64 | partition blob   (optional)
+//   partial  count i32, then per in-flight run its snapshot (optional)
 //
-// Every section is independently CRC32-framed, so truncation, bit rot,
-// and torn writes are all detected before any payload is trusted; the
-// loader throws Error(kParseError) and the caller falls back to a fresh
-// start. Writes are crash-consistent: serialize fully, write to
-// `path.tmp`, fsync, atomically rename over `path`, fsync the directory —
+// Every record carries its own CRC, so truncation, bit rot, and torn
+// writes are all detected before any payload is trusted. A checkpoint is
+// all or nothing: any damage, or a record count that disagrees with the
+// header, throws Error(kParseError) and the caller starts fresh. Writes
+// are crash-consistent: serialize fully, write to `path.tmp`, fsync,
+// atomically rename over `path`, fsync the directory —
 // a crash at any instant leaves either the previous checkpoint or the new
 // one, never a mix (the "checkpoint.torn" fault-injection site exists
 // precisely to manufacture the torn files this scheme rules out).
@@ -36,17 +40,9 @@
 
 #include "robust/run_report.h"
 #include "robust/status.h"
+#include "robust/wire.h" // crc32, hashCombine
 
 namespace mlpart::robust {
-
-/// Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected).
-/// `seed` chains incremental computations: pass a previous result to
-/// continue it over another buffer.
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
-
-/// Combines two 64-bit hashes (splitmix-style avalanche); used to build
-/// the config fingerprint from instance/config/seed components.
-[[nodiscard]] std::uint64_t hashCombine(std::uint64_t h, std::uint64_t v);
 
 /// One completed start as persisted: its run index plus the full record.
 struct CheckpointStart {
@@ -81,13 +77,12 @@ struct CheckpointState {
     std::int64_t bestCut = 0;
     std::vector<std::uint8_t> bestBlob; ///< encoded best partition (io.h codec)
     /// V-cycle-boundary snapshots of runs still in flight (one per run at
-    /// most, never for a run in `done`). Optional section; absent in
-    /// checkpoints written without per-cycle granularity, so every
-    /// pre-existing checkpoint file still parses.
+    /// most, never for a run in `done`). Optional record; absent in
+    /// checkpoints written without per-cycle granularity.
     std::vector<CheckpointPartial> partial;
 };
 
-/// Serializes `state` to the version-1 byte layout (no file involved);
+/// Serializes `state` to the version-2 record layout (no file involved);
 /// exposed so tests and the corpus generator can corrupt it surgically.
 [[nodiscard]] std::vector<std::uint8_t> serializeCheckpoint(const CheckpointState& state);
 

@@ -1,8 +1,10 @@
 #include "robust/fault_injector.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <new>
 #include <string_view>
+#include <system_error>
 
 #include "robust/status.h"
 
@@ -24,6 +26,19 @@ std::uint64_t fnv1a(const std::string& s) {
         h *= 0x100000001b3ULL;
     }
     return h;
+}
+
+/// The whole of `value` as a T: "3abc", "", "-1" for an unsigned, and
+/// out-of-range values are usage errors, never a silently truncated number.
+template <typename T>
+T specNumber(const std::string& key, const std::string& value) {
+    T v{};
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (value.empty() || ec != std::errc() || ptr != end)
+        throw Error(StatusCode::kUsage, "MLPART_FAULT_INJECTION: malformed value '" + value +
+                                            "' for '" + key + "'");
+    return v;
 }
 
 /// Plan-site match: empty = everything, trailing '*' = prefix, else exact.
@@ -146,7 +161,7 @@ bool FaultInjector::armFromEnv() {
     return true;
 }
 
-void FaultInjector::armFromSpec(const std::string& s) {
+FaultPlan FaultInjector::parseSpec(const std::string& s) {
     FaultPlan plan;
     std::size_t pos = 0;
     while (pos < s.size()) {
@@ -161,30 +176,21 @@ void FaultInjector::armFromSpec(const std::string& s) {
                         "MLPART_FAULT_INJECTION: expected key=value, got '" + pair + "'");
         const std::string key = pair.substr(0, eq);
         const std::string value = pair.substr(eq + 1);
-        try {
-            if (key == "p") plan.probability = std::stod(value);
-            else if (key == "seed") plan.seed = std::stoull(value);
-            else if (key == "site") plan.site = value;
-            else if (key == "at") plan.fireAtHit = std::stoll(value);
-            else if (key == "max") plan.maxFires = std::stoll(value);
-            else if (key == "kind") {
-                if (value == "throw") plan.kind = FaultKind::kThrow;
-                else if (value == "alloc") plan.kind = FaultKind::kBadAlloc;
-                else throw Error(StatusCode::kUsage,
-                                 "MLPART_FAULT_INJECTION: kind must be throw or alloc");
-            } else {
-                throw Error(StatusCode::kUsage,
-                            "MLPART_FAULT_INJECTION: unknown key '" + key + "'");
-            }
-        } catch (const std::invalid_argument&) {
-            throw Error(StatusCode::kUsage,
-                        "MLPART_FAULT_INJECTION: bad value for '" + key + "'");
-        } catch (const std::out_of_range&) {
-            throw Error(StatusCode::kUsage,
-                        "MLPART_FAULT_INJECTION: value out of range for '" + key + "'");
+        if (key == "p") plan.probability = specNumber<double>(key, value);
+        else if (key == "seed") plan.seed = specNumber<std::uint64_t>(key, value);
+        else if (key == "site") plan.site = value;
+        else if (key == "at") plan.fireAtHit = specNumber<std::int64_t>(key, value);
+        else if (key == "max") plan.maxFires = specNumber<std::int64_t>(key, value);
+        else if (key == "kind") {
+            if (value == "throw") plan.kind = FaultKind::kThrow;
+            else if (value == "alloc") plan.kind = FaultKind::kBadAlloc;
+            else throw Error(StatusCode::kUsage,
+                             "MLPART_FAULT_INJECTION: kind must be throw or alloc");
+        } else {
+            throw Error(StatusCode::kUsage, "MLPART_FAULT_INJECTION: unknown key '" + key + "'");
         }
     }
-    arm(plan);
+    return plan;
 }
 
 } // namespace mlpart::robust

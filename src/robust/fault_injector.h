@@ -68,14 +68,22 @@ public:
     /// Arms from the MLPART_FAULT_INJECTION environment variable and
     /// returns true when it was set and parsed. Spec: comma-separated
     /// key=value pairs, e.g. "p=0.05,seed=9,kind=alloc,site=coarsen.induce,
-    /// at=3,max=1". Unknown keys are a usage error (throws Error).
+    /// at=3,max=1". Unknown keys and malformed numbers are a usage error
+    /// (throws Error).
     bool armFromEnv();
 
     /// Arms from a spec string in the same format. The service's per-job
     /// `fault` field goes through here inside the worker fork, so a test
     /// can crash one specific job deterministically regardless of how the
     /// supervisor schedules it.
-    void armFromSpec(const std::string& spec);
+    void armFromSpec(const std::string& spec) { arm(parseSpec(spec)); }
+
+    /// The plan a spec describes, without arming it. Every number must
+    /// parse as a whole; an unknown key or a malformed value throws
+    /// Error(kUsage). The service checks a job's `fault` field with this
+    /// at admission, so a bad spec is the client's usage error rather
+    /// than a worker that dies arming it.
+    [[nodiscard]] static FaultPlan parseSpec(const std::string& spec);
 
     /// The canonical list of site names compiled into the engines; tests
     /// iterate this to prove every recovery path fires.

@@ -1,9 +1,8 @@
 #include "robust/wire.h"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
-
-#include "robust/checkpoint.h" // crc32
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -17,18 +16,36 @@ namespace mlpart::robust {
 
 namespace {
 
-constexpr std::uint32_t kFrameMagic = 0x46574C4DU; // "MLWF" little-endian
-
-// A frame bigger than this is hostile or damaged — result payloads are a
-// few hundred bytes; even one carrying a full partition blob stays far
-// below it.
-constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 32;
-
-[[noreturn]] void frameError(const std::string& message) {
-    throw Error(StatusCode::kParseError, "wire: " + message);
-}
+// The CRC covers the tag and the length (the header bytes in front of
+// the CRC field) and then the payload.
+constexpr std::size_t kCrcCoveredHeaderBytes = 12;
 
 } // namespace
+
+// --------------------------------------------------------------- hashing
+
+std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
+    static const auto table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t c = seed ^ 0xFFFFFFFFU;
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < size; ++i) c = table[(c ^ p[i]) & 0xFFU] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFU;
+}
+
+std::uint64_t hashCombine(std::uint64_t h, std::uint64_t v) {
+    std::uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
 
 // ------------------------------------------------------------- byte codec
 
@@ -39,10 +56,11 @@ void WireWriter::f64(double v) {
     u64(bits);
 }
 
-void WireReader::need(std::size_t n) const {
+void WireReader::need(std::uint64_t n) const {
     if (n > remaining())
-        frameError("payload truncated (wanted " + std::to_string(n) + " more bytes, " +
-                   std::to_string(remaining()) + " left)");
+        throw Error(StatusCode::kParseError, "wire: payload truncated (wanted " +
+                                                 std::to_string(n) + " more bytes, " +
+                                                 std::to_string(remaining()) + " left)");
 }
 
 std::uint8_t WireReader::u8() {
@@ -77,6 +95,14 @@ std::string WireReader::str() {
     std::string s(reinterpret_cast<const char*>(data + pos), n);
     pos += n;
     return s;
+}
+
+std::vector<std::uint8_t> WireReader::blob() {
+    const std::uint64_t n = u64();
+    need(n);
+    std::vector<std::uint8_t> b(data + pos, data + pos + n);
+    pos += static_cast<std::size_t>(n);
+    return b;
 }
 
 // ----------------------------------------------------- EINTR-safe syscalls
@@ -159,43 +185,74 @@ std::vector<std::uint8_t> readFileBytes(const std::string& path) {
 
 #endif
 
-// --------------------------------------------------------------- framing
+// ----------------------------------------------------------------- records
 
-std::vector<std::uint8_t> buildFrame(const std::vector<std::uint8_t>& payload) {
-    WireWriter out;
-    out.bytes.reserve(kFrameHeaderBytes + payload.size());
-    out.u32(kFrameMagic);
+void appendRecord(WireWriter& out, std::uint32_t tag, const std::vector<std::uint8_t>& payload) {
+    const std::size_t start = out.bytes.size();
+    out.bytes.reserve(start + kRecordHeaderBytes + payload.size());
+    out.u32(tag);
     out.u64(payload.size());
-    out.u32(crc32(payload.data(), payload.size()));
+    const std::uint32_t headerCrc = crc32(out.bytes.data() + start, kCrcCoveredHeaderBytes);
+    out.u32(crc32(payload.data(), payload.size(), headerCrc));
     out.bytes.insert(out.bytes.end(), payload.begin(), payload.end());
-    return std::move(out.bytes);
 }
 
-std::size_t frameSize(const std::uint8_t* header, std::uint64_t maxPayloadBytes) {
-    WireReader in{header, kFrameHeaderBytes};
-    if (in.u32() != kFrameMagic) frameError("bad frame magic");
+std::size_t recordSize(const std::uint8_t* header, std::uint64_t maxPayloadBytes) {
+    WireReader in{header, kRecordHeaderBytes, 4}; // the length follows the tag
     const std::uint64_t len = in.u64();
     if (len > maxPayloadBytes)
-        frameError("frame length " + std::to_string(len) + " over the " +
-                   std::to_string(maxPayloadBytes) + "-byte cap");
-    return kFrameHeaderBytes + static_cast<std::size_t>(len);
+        throw Error(StatusCode::kParseError, "wire: record length " + std::to_string(len) +
+                                                 " over the " + std::to_string(maxPayloadBytes) +
+                                                 "-byte cap");
+    return kRecordHeaderBytes + static_cast<std::size_t>(len);
 }
 
-std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size) {
-    if (size == 0) frameError("empty frame (worker wrote nothing)");
-    if (size < kFrameHeaderBytes)
-        frameError("frame header truncated (" + std::to_string(size) + " bytes)");
-    const std::size_t total = frameSize(data, kMaxFrameBytes);
-    WireReader crcField{data + kFrameHeaderBytes - 4, 4}; // last header field
-    const std::uint32_t crc = crcField.u32();
-    if (total > size)
-        frameError("frame truncated (torn write: declares " +
-                   std::to_string(total - kFrameHeaderBytes) + " payload bytes, " +
-                   std::to_string(size - kFrameHeaderBytes) + " present)");
-    if (total < size) frameError("trailing bytes after frame payload");
-    if (crc != crc32(data + kFrameHeaderBytes, total - kFrameHeaderBytes))
-        frameError("frame CRC mismatch (torn or corrupted write)");
-    return std::vector<std::uint8_t>(data + kFrameHeaderBytes, data + total);
+std::string RecordScan::damageText() const {
+    const char* what = "";
+    switch (damage) {
+        case RecordDamage::kNone: return {};
+        case RecordDamage::kTruncated: what = "truncated (torn write)"; break;
+        case RecordDamage::kOverCap: what = "length over the cap (forged or damaged)"; break;
+        case RecordDamage::kCrcMismatch: what = "CRC mismatch (bit rot or torn write)"; break;
+    }
+    return std::string(what) + " at byte " + std::to_string(end);
+}
+
+RecordScan scanRecords(const std::uint8_t* data, std::size_t size,
+                       std::uint64_t maxPayloadBytes) {
+    RecordScan scan;
+    std::size_t pos = 0;
+    while (pos < size) {
+        scan.end = pos;
+        if (size - pos < kRecordHeaderBytes) {
+            scan.damage = RecordDamage::kTruncated;
+            return scan;
+        }
+        WireReader in{data + pos, kRecordHeaderBytes};
+        Record rec;
+        rec.tag = in.u32();
+        const std::uint64_t len = in.u64();
+        const std::uint32_t crc = in.u32();
+        if (len > maxPayloadBytes) {
+            scan.damage = RecordDamage::kOverCap;
+            return scan;
+        }
+        if (len > size - pos - kRecordHeaderBytes) {
+            scan.damage = RecordDamage::kTruncated;
+            return scan;
+        }
+        rec.offset = pos;
+        rec.payload = data + pos + kRecordHeaderBytes;
+        rec.size = static_cast<std::size_t>(len);
+        if (crc != crc32(rec.payload, rec.size, crc32(data + pos, kCrcCoveredHeaderBytes))) {
+            scan.damage = RecordDamage::kCrcMismatch;
+            return scan;
+        }
+        scan.records.push_back(rec);
+        pos += kRecordHeaderBytes + rec.size;
+    }
+    scan.end = size;
+    return scan;
 }
 
 } // namespace mlpart::robust

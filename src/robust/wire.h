@@ -1,19 +1,14 @@
-// EINTR-safe fd plumbing and CRC-framed messaging for process boundaries.
+// Byte codec, EINTR-safe fd plumbing, and the one CRC record codec
+// (DESIGN.md §10 "Record codec"). The worker pipe messages, the serve
+// journal, checkpoints and the persisted result cache are all sequences
+// of records, little-endian:
 //
-// Two consumers:
-//   - the checkpoint loader, whose reads must survive signal interruption
-//     (the service installs non-SA_RESTART handlers, so any blocking read
-//     in the process can come back short with EINTR), and
-//   - the supervised-worker result pipe (src/serve): a dying worker can
-//     tear its final write at any byte, so the result travels in a single
-//     CRC-framed message — the supervisor either validates a complete
-//     frame or classifies the job from the worker's exit status, never
-//     trusting garbage and never hanging on a half-written frame.
+//   tag u32 | len u64 | crc32(tag, len, payload) u32 | payload (len bytes)
 //
-// Frame layout (little-endian): magic u32 'MLWF' | payloadLen u64 |
-// crc32(payload) u32 | payload. parseFrame() throws Error(kParseError) on
-// any damage; the byte codec (WireWriter / WireReader) is the same
-// little-endian discipline the checkpoint format uses.
+// appendRecord writes one, recordSize sizes one from its header, and
+// scanRecords returns the undamaged records of a buffer plus where and
+// why the first damaged one starts. Each format keeps its own damage
+// policy on top of the scan.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +18,17 @@
 #include "robust/status.h"
 
 namespace mlpart::robust {
+
+// --------------------------------------------------------------- hashing
+
+/// Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected).
+/// `seed` chains incremental computations: pass a previous result to
+/// continue it over another buffer.
+[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
+
+/// Combines two 64-bit hashes (splitmix-style avalanche); used to build
+/// fingerprints from instance/config/seed components.
+[[nodiscard]] std::uint64_t hashCombine(std::uint64_t h, std::uint64_t v);
 
 // ------------------------------------------------------------- byte codec
 
@@ -40,14 +46,20 @@ struct WireWriter {
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void f64(double v);
+    /// u32 length, then the bytes.
     void str(const std::string& s) {
         u32(static_cast<std::uint32_t>(s.size()));
         bytes.insert(bytes.end(), s.begin(), s.end());
     }
+    /// u64 length, then the bytes.
+    void blob(const std::vector<std::uint8_t>& b) {
+        u64(b.size());
+        bytes.insert(bytes.end(), b.begin(), b.end());
+    }
 };
 
 /// Bounds-checked reader over a validated payload. Throws
-/// Error(kParseError) on truncation — a frame that passed its CRC can
+/// Error(kParseError) on truncation — a record that passed its CRC can
 /// still carry a hostile or version-skewed payload.
 struct WireReader {
     const std::uint8_t* data = nullptr;
@@ -55,7 +67,7 @@ struct WireReader {
     std::size_t pos = 0;
 
     [[nodiscard]] std::size_t remaining() const { return size - pos; }
-    void need(std::size_t n) const;
+    void need(std::uint64_t n) const;
     std::uint8_t u8();
     std::uint32_t u32();
     std::uint64_t u64();
@@ -63,7 +75,54 @@ struct WireReader {
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
     std::string str();
+    std::vector<std::uint8_t> blob();
 };
+
+// ----------------------------------------------------------------- records
+
+/// Record header size in bytes (tag + length + crc).
+inline constexpr std::size_t kRecordHeaderBytes = 16;
+
+/// Appends one record carrying `payload` under `tag` to `out`.
+void appendRecord(WireWriter& out, std::uint32_t tag, const std::vector<std::uint8_t>& payload);
+
+/// The complete size (header + payload) of the record whose
+/// kRecordHeaderBytes header is at `header`: how many bytes a pipe reader
+/// must collect before scanning. Throws Error(kParseError) when the
+/// payload is over `maxPayloadBytes`.
+[[nodiscard]] std::size_t recordSize(const std::uint8_t* header, std::uint64_t maxPayloadBytes);
+
+/// One undamaged record inside a scanned buffer.
+struct Record {
+    std::uint32_t tag = 0;
+    std::size_t offset = 0; ///< where its header starts in the scanned bytes
+    const std::uint8_t* payload = nullptr;
+    std::size_t size = 0;   ///< payload bytes
+
+    [[nodiscard]] WireReader reader() const { return {payload, size, 0}; }
+};
+
+/// Why a scan stopped before the end of its input.
+enum class RecordDamage : std::uint8_t {
+    kNone,        ///< every byte belongs to an undamaged record
+    kTruncated,   ///< the header or the payload runs past the end (torn write)
+    kOverCap,     ///< the declared length is over the caller's cap
+    kCrcMismatch, ///< bit rot, a forged field, or a torn overwrite
+};
+
+struct RecordScan {
+    std::vector<Record> records; ///< the undamaged records in front of `end`
+    std::size_t end = 0;         ///< offset of the first damaged record (input size when clean)
+    RecordDamage damage = RecordDamage::kNone;
+
+    /// "CRC mismatch (bit rot or torn write) at byte 48"; empty if clean.
+    [[nodiscard]] std::string damageText() const;
+};
+
+/// Walks `data` record by record up to the first damaged one. Never
+/// throws and never allocates for a declared length.
+[[nodiscard]] RecordScan scanRecords(const std::uint8_t* data, std::size_t size,
+                                     std::uint64_t maxPayloadBytes);
 
 // ----------------------------------------------------- EINTR-safe syscalls
 
@@ -82,24 +141,5 @@ struct WireReader {
 /// (the service) cannot produce spurious short reads. Throws
 /// Error(kParseError) when the file cannot be opened or read.
 [[nodiscard]] std::vector<std::uint8_t> readFileBytes(const std::string& path);
-
-// --------------------------------------------------------------- framing
-
-/// Wraps `payload` in a magic + length + CRC32 frame.
-[[nodiscard]] std::vector<std::uint8_t> buildFrame(const std::vector<std::uint8_t>& payload);
-
-/// Frame header size in bytes (magic + length + crc).
-inline constexpr std::size_t kFrameHeaderBytes = 16;
-
-/// Reads the magic and payload length from the first kFrameHeaderBytes
-/// at `header` and returns the complete frame size (header + payload):
-/// how many bytes a pipe reader must collect before parseFrame. Throws
-/// Error(kParseError) on bad magic or a payload over `maxPayloadBytes`.
-[[nodiscard]] std::size_t frameSize(const std::uint8_t* header, std::uint64_t maxPayloadBytes);
-
-/// Validates a complete frame and returns its payload. Throws
-/// Error(kParseError) on bad magic, impossible length, truncation
-/// (torn write), trailing bytes, or CRC mismatch.
-[[nodiscard]] std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size);
 
 } // namespace mlpart::robust

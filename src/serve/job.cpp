@@ -4,7 +4,7 @@
 #include <filesystem>
 #include <set>
 
-#include "robust/checkpoint.h" // crc32, hashCombine
+#include "robust/fault_injector.h"
 #include "robust/wire.h"
 
 namespace mlpart::serve {
@@ -89,6 +89,9 @@ JobRequest parseJobRequest(const std::string& line) {
     if (r.engine != "fm" && r.engine != "clip" && !portfolioEngine(r.engine))
         badRequest("engine must be fm, clip, auto, or one of ml/two_phase/lsmc/spectral/genetic");
     if (r.resume && r.checkpointPath.empty()) badRequest("resume requires checkpoint");
+    // A malformed fault spec is the client's usage error here, not a
+    // worker that dies arming it.
+    if (!r.faultSpec.empty()) (void)robust::FaultInjector::parseSpec(r.faultSpec);
     // Checkpoints snapshot multi-start progress; the portfolio lanes have
     // no cross-engine resume semantics, so reject instead of silently
     // checkpointing one lane.
@@ -206,6 +209,25 @@ JobRequest decodeJobRequest(const std::uint8_t* data, std::size_t size,
     if (in.remaining() != 0)
         throw Error(StatusCode::kParseError, "job request: trailing bytes");
     return r;
+}
+
+robust::Record pipeRecord(const std::uint8_t* data, std::size_t size, std::uint32_t tag) {
+    // Pipe readers cap the length through robust::recordSize before they
+    // collect a record; this cap only bounds the scan.
+    constexpr std::uint64_t kMaxPipePayloadBytes = std::uint64_t{1} << 32;
+    const robust::RecordScan scan = robust::scanRecords(data, size, kMaxPipePayloadBytes);
+    std::string why;
+    if (size == 0)
+        why = "empty (the worker wrote nothing)";
+    else if (scan.records.empty())
+        why = scan.damageText();
+    else if (scan.records.size() > 1 || scan.damage != robust::RecordDamage::kNone)
+        why = "trailing bytes after the record";
+    else if (scan.records[0].tag != tag)
+        why = "foreign tag " + std::to_string(scan.records[0].tag);
+    else
+        return scan.records[0];
+    throw Error(StatusCode::kParseError, "pipe record: " + why);
 }
 
 bool cacheableRequest(const JobRequest& r) {

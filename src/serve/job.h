@@ -4,8 +4,8 @@
 // service answers every accepted or rejected job with exactly one
 // JobResult line — the one-request/one-response invariant the soak test
 // counts on. Between the two sits the process boundary: the supervised
-// worker serializes a JobOutcome (the part computed inside the fork) over
-// a CRC-framed pipe (robust/wire.h), and the supervisor merges it with
+// worker serializes a JobOutcome (the part computed inside the fork) as one
+// CRC record on a pipe (robust/wire.h), and the supervisor merges it with
 // what only it can know (attempts, crashes, watchdog kills) into the
 // final JobResult.
 #pragma once
@@ -16,6 +16,7 @@
 
 #include "portfolio/portfolio.h"
 #include "robust/status.h"
+#include "robust/wire.h"
 #include "serve/json.h"
 
 namespace mlpart::serve {
@@ -91,20 +92,32 @@ struct JobOutcome {
     portfolio::EvaluationReport report;
 };
 
-/// Pipe codec for JobOutcome (framed by robust/wire.h at the call site).
+/// Pipe codec for JobOutcome (the payload of a kOutcomeRecordTag record).
 [[nodiscard]] std::vector<std::uint8_t> encodeJobOutcome(const JobOutcome& o);
-/// Throws robust::Error(kParseError) on damage the frame CRC cannot see
+/// Throws robust::Error(kParseError) on damage the record CRC cannot see
 /// (version-skewed or truncated payload).
 [[nodiscard]] JobOutcome decodeJobOutcome(const std::uint8_t* data, std::size_t size);
 
 /// Pipe codec for dispatching a job (plus its attempt index, which drives
-/// the retry reseed and fault-spec arming) to a pre-forked pool worker.
-/// Framed by robust/wire.h exactly like the outcome on the way back.
+/// the retry reseed and fault-spec arming) to a pre-forked pool worker:
+/// the payload of a kRequestRecordTag record.
 [[nodiscard]] std::vector<std::uint8_t> encodeJobRequest(const JobRequest& r,
                                                          std::int32_t attempt);
 /// Throws robust::Error(kParseError) on version skew or truncation.
 [[nodiscard]] JobRequest decodeJobRequest(const std::uint8_t* data, std::size_t size,
                                           std::int32_t& attempt);
+
+/// Record tags of the two pipe messages (robust/wire.h records): a
+/// request travels to a pool worker, its outcome comes back.
+inline constexpr std::uint32_t kRequestRecordTag = 0x51574C4DU; // "MLWQ"
+inline constexpr std::uint32_t kOutcomeRecordTag = 0x4F574C4DU; // "MLWO"
+
+/// The payload of `data[0, size)`, which must be exactly one undamaged
+/// record tagged `tag`. Throws robust::Error(kParseError) naming the
+/// damage otherwise: nothing written, a torn or CRC-failed record, a
+/// foreign tag, or trailing bytes. The payload points into `data`.
+[[nodiscard]] robust::Record pipeRecord(const std::uint8_t* data, std::size_t size,
+                                        std::uint32_t tag);
 
 /// True when a request's result may be served from / inserted into the
 /// result cache: a plain partition job with no side effects (checkpoint,

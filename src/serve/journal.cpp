@@ -9,7 +9,6 @@
 #include <cstring>
 #include <utility>
 
-#include "robust/checkpoint.h" // crc32
 #include "robust/fs_shim.h"
 #include "robust/wire.h"
 
@@ -21,33 +20,14 @@ using robust::Error;
 using robust::Status;
 using robust::StatusCode;
 
-constexpr std::uint32_t kRecordMagic = 0x524A4C4DU; // "MLJR" little-endian
-constexpr std::size_t kRecordHeaderBytes = 13;      // magic + type + len + crc
+// Record tags (robust/wire.h records, little-endian four-character codes).
+constexpr std::uint32_t kAdmit = 0x414A4C4DU; // "MLJA"
+constexpr std::uint32_t kStart = 0x534A4C4DU; // "MLJS"
+constexpr std::uint32_t kDone = 0x444A4C4DU;  // "MLJD"
+constexpr std::uint32_t kDrop = 0x584A4C4DU;  // "MLJX"
 // A record is one request (inline .hgr included) or one result; anything
 // past this is a forged length field, not a job.
-constexpr std::uint32_t kMaxRecordBytes = 1u << 28;
-
-constexpr std::uint8_t kAdmit = 1;
-constexpr std::uint8_t kStart = 2;
-constexpr std::uint8_t kDone = 3;
-constexpr std::uint8_t kDrop = 4;
-
-std::uint32_t readU32(const std::uint8_t* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::vector<std::uint8_t> buildRecord(std::uint8_t type,
-                                      const std::vector<std::uint8_t>& payload) {
-    robust::WireWriter w;
-    w.u32(kRecordMagic);
-    w.u8(type);
-    w.u32(static_cast<std::uint32_t>(payload.size()));
-    w.u32(robust::crc32(payload.data(), payload.size()));
-    w.bytes.insert(w.bytes.end(), payload.begin(), payload.end());
-    return std::move(w.bytes);
-}
+constexpr std::uint64_t kMaxRecordBytes = std::uint64_t{1} << 28;
 
 std::vector<std::uint8_t> admitPayload(std::uint64_t seq, const JobRequest& req) {
     robust::WireWriter w;
@@ -74,7 +54,6 @@ std::vector<std::uint8_t> donePayload(std::uint64_t seq, const JobResult& r) {
     w.u8(r.cached ? 1 : 0);
     w.f64(r.queueSeconds);
     const std::vector<std::uint8_t> outcome = encodeJobOutcome(r.outcome);
-    w.u64(outcome.size());
     w.bytes.insert(w.bytes.end(), outcome.begin(), outcome.end());
     return std::move(w.bytes);
 }
@@ -90,11 +69,7 @@ JobResult parseDonePayload(robust::WireReader& r) {
     out.retried = r.u8() != 0;
     out.cached = r.u8() != 0;
     out.queueSeconds = r.f64();
-    const std::uint64_t outcomeLen = r.u64();
-    if (outcomeLen != r.remaining())
-        throw Error(StatusCode::kParseError, "journal: outcome length lies");
-    out.outcome = decodeJobOutcome(r.data + r.pos, static_cast<std::size_t>(outcomeLen));
-    r.pos += static_cast<std::size_t>(outcomeLen);
+    out.outcome = decodeJobOutcome(r.data + r.pos, r.remaining()); // the rest of the record
     return out;
 }
 
@@ -150,58 +125,49 @@ Journal::Recovery Journal::recover() {
         return out;
     }
 
-    // Forward scan: every record must be structurally whole (magic, sane
-    // length, payload CRC) *and* semantically consistent (Start/Done/Drop
-    // must name an admitted seq). The first violation truncates the file
-    // at the last good boundary — a torn tail from a crash mid-append is
-    // the common case, and recovery must never be the thing that crashes.
-    std::size_t pos = 0;
-    std::size_t lastGood = 0;
-    while (bytes.size() - pos >= kRecordHeaderBytes) {
-        const std::uint8_t* p = bytes.data() + pos;
-        if (readU32(p) != kRecordMagic) break;
-        const std::uint8_t type = p[4];
-        const std::uint32_t len = readU32(p + 5);
-        const std::uint32_t crc = readU32(p + 9);
-        if (type < kAdmit || type > kDrop) break;
-        if (len > kMaxRecordBytes) break;
-        if (static_cast<std::size_t>(len) > bytes.size() - pos - kRecordHeaderBytes) break;
-        const std::uint8_t* payload = p + kRecordHeaderBytes;
-        if (robust::crc32(payload, len) != crc) break;
-        bool ok = true;
+    // Every record must be structurally whole (robust::scanRecords: sane
+    // length, CRC) *and* semantically consistent (a known tag; Start/Done/
+    // Drop must name an admitted seq). The first violation truncates the
+    // file where that record starts — a torn tail from a crash mid-append
+    // is the common case, and recovery must never be the thing that
+    // crashes.
+    const robust::RecordScan scan =
+        robust::scanRecords(bytes.data(), bytes.size(), kMaxRecordBytes);
+    std::size_t lastGood = scan.end;
+    for (const robust::Record& rec : scan.records) {
         try {
-            robust::WireReader r{payload, len, 0};
+            robust::WireReader r = rec.reader();
             const std::uint64_t seq = r.u64();
-            if (seq > out.maxSeq) out.maxSeq = seq;
-            if (type == kAdmit) {
+            if (rec.tag == kAdmit) {
                 std::int32_t attempt = 0;
-                (void)decodeJobRequest(payload + r.pos, len - r.pos, attempt);
+                (void)decodeJobRequest(rec.payload + r.pos, r.remaining(), attempt);
                 // Dedupe by seq: recovery re-journals pending jobs under
                 // their original seq, so a crash in that window leaves
                 // two identical Admit records, not two executions.
                 Outstanding& o = live_[seq];
-                o.admitPayload.assign(payload, payload + len);
+                o.admitPayload.assign(rec.payload, rec.payload + rec.size);
                 o.started = false;
-            } else if (type == kStart) {
+            } else if (rec.tag == kStart) {
                 const auto it = live_.find(seq);
                 if (it == live_.end()) throw Error(StatusCode::kParseError, "orphan Start");
                 it->second.started = true;
-            } else if (type == kDone) {
+            } else if (rec.tag == kDone) {
                 if (live_.find(seq) == live_.end())
                     throw Error(StatusCode::kParseError, "orphan Done");
                 out.completed.push_back(parseDonePayload(r));
                 live_.erase(seq);
-            } else { // kDrop
+            } else if (rec.tag == kDrop) {
                 if (live_.find(seq) == live_.end())
                     throw Error(StatusCode::kParseError, "orphan Drop");
                 live_.erase(seq);
+            } else {
+                throw Error(StatusCode::kParseError, "unknown record tag");
             }
+            if (seq > out.maxSeq) out.maxSeq = seq; // only records that survive count
         } catch (const Error&) {
-            ok = false;
+            lastGood = rec.offset;
+            break;
         }
-        if (!ok) break;
-        pos += kRecordHeaderBytes + len;
-        lastGood = pos;
     }
     out.truncatedBytes = static_cast<std::int64_t>(bytes.size() - lastGood);
     if (out.truncatedBytes > 0 && ::ftruncate(fd_, static_cast<off_t>(lastGood)) != 0)
@@ -220,14 +186,16 @@ Journal::Recovery Journal::recover() {
     return out;
 }
 
-Status Journal::appendLocked(std::uint8_t type, const std::vector<std::uint8_t>& payload) {
+Status Journal::appendLocked(std::uint32_t tag, const std::vector<std::uint8_t>& payload) {
     if (degraded_) return Status::okStatus(); // non-durable mode: no-op
     if (fd_ < 0) {
         degraded_ = true;
         return Status::error(StatusCode::kInternal, "journal: no open file descriptor");
     }
-    const std::vector<std::uint8_t> record = buildRecord(type, payload);
-    const Status st = robust::appendAndSync(fd_, record.data(), record.size(), "journal");
+    robust::WireWriter record;
+    robust::appendRecord(record, tag, payload);
+    const Status st =
+        robust::appendAndSync(fd_, record.bytes.data(), record.bytes.size(), "journal");
     if (!st.ok()) degraded_ = true; // a torn tail may be on disk; recovery truncates it
     return st;
 }
@@ -256,24 +224,22 @@ Status Journal::appendStart(std::uint64_t seq) {
 
 Status Journal::appendDone(std::uint64_t seq, const JobResult& result) {
     std::lock_guard<std::mutex> lock(mu_);
-    const Status st = appendLocked(kDone, donePayload(seq, result));
+    return closeLocked(seq, kDone, donePayload(seq, result));
+}
+
+Status Journal::appendDrop(std::uint64_t seq) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return closeLocked(seq, kDrop, seqPayload(seq));
+}
+
+Status Journal::closeLocked(std::uint64_t seq, std::uint32_t tag,
+                            const std::vector<std::uint8_t>& payload) {
+    const Status st = appendLocked(tag, payload);
     if (!st.ok() || degraded_) return st;
     live_.erase(seq);
     if (++donesSinceCompact_ >= kCompactEveryDones) {
         donesSinceCompact_ = 0;
         (void)compactLocked(); // failure keeps the (valid) uncompacted file
-    }
-    return st;
-}
-
-Status Journal::appendDrop(std::uint64_t seq) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Status st = appendLocked(kDrop, seqPayload(seq));
-    if (!st.ok() || degraded_) return st;
-    live_.erase(seq);
-    if (++donesSinceCompact_ >= kCompactEveryDones) {
-        donesSinceCompact_ = 0;
-        (void)compactLocked();
     }
     return st;
 }
@@ -285,18 +251,14 @@ Status Journal::compact() {
 }
 
 Status Journal::compactLocked() {
-    std::vector<std::uint8_t> bytes;
+    robust::WireWriter records;
     for (const auto& [seq, o] : live_) {
-        const std::vector<std::uint8_t> admit = buildRecord(kAdmit, o.admitPayload);
-        bytes.insert(bytes.end(), admit.begin(), admit.end());
-        if (o.started) {
-            const std::vector<std::uint8_t> start = buildRecord(kStart, seqPayload(seq));
-            bytes.insert(bytes.end(), start.begin(), start.end());
-        }
+        robust::appendRecord(records, kAdmit, o.admitPayload);
+        if (o.started) robust::appendRecord(records, kStart, seqPayload(seq));
     }
     // An atomic-rename failure leaves the previous (longer but valid)
     // journal in place: compaction is an optimisation, never a risk.
-    const Status st = robust::atomicWriteFile(path_, bytes, "journal");
+    const Status st = robust::atomicWriteFile(path_, records.bytes, "journal");
     if (!st.ok()) return st;
     ++compactions_;
     reopenLocked(); // the old fd points at the unlinked pre-compaction inode

@@ -8,21 +8,20 @@
 // *re-enqueued* with their original priority and seq, and the
 // deterministic engine then reproduces their results bit-identically.
 //
-// Record layout (little-endian, append-only `journal.wal`):
+// `journal.wal` is an append-only sequence of robust records (wire.h,
+// DESIGN.md §10 "Record codec"), tag u32 | len u64 | crc32 u32 | payload:
 //
-//   magic 'MLJR' u32 | type u8 | payloadLen u32 | crc32(payload) u32 | payload
+//   'MLJA' Admit  seq u64 | encodeJobRequest(req, 0) bytes
+//   'MLJS' Start  seq u64
+//   'MLJD' Done   seq u64 | JobResult codec (id, attempts, crashes, flags,
+//                 queueSeconds) | encodeJobOutcome bytes to the record end
+//   'MLJX' Drop   seq u64   — the job left the system with a non-result
+//                 response (shed / cancelled / drained / orphaned);
+//                 nothing to replay.
 //
-//   kAdmit  seq u64 | encodeJobRequest(req, 0) bytes
-//   kStart  seq u64
-//   kDone   seq u64 | JobResult codec (id, attempts, crashes, flags,
-//           queueSeconds, encodeJobOutcome bytes)
-//   kDrop   seq u64   — the job left the system with a non-result
-//                       response (shed / cancelled / drained / orphaned);
-//                       nothing to replay.
-//
-// The scanner never throws on damaged bytes: a torn tail — exactly what a
-// crash mid-append leaves — is truncated at the last valid record
-// boundary and the journal continues from there. Admit records are
+// Recovery never throws on damaged bytes: a torn tail — exactly what a
+// crash mid-append leaves — is truncated where the first bad record
+// starts and the journal continues from there. Admit records are
 // deduplicated by seq (recovery re-journals pending jobs under their
 // original seq before compacting, so a second crash in that window cannot
 // double-execute anything).
@@ -108,8 +107,11 @@ private:
         bool started = false;
     };
 
-    [[nodiscard]] robust::Status appendLocked(std::uint8_t type,
+    [[nodiscard]] robust::Status appendLocked(std::uint32_t tag,
                                               const std::vector<std::uint8_t>& payload);
+    /// Appends a Done or Drop record and retires `seq` from the live set.
+    [[nodiscard]] robust::Status closeLocked(std::uint64_t seq, std::uint32_t tag,
+                                             const std::vector<std::uint8_t>& payload);
     [[nodiscard]] robust::Status compactLocked();
     void reopenLocked();
 

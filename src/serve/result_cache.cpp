@@ -1,6 +1,8 @@
 #include "serve/result_cache.h"
 
-#include "robust/checkpoint.h" // crc32
+#include <algorithm>
+#include <utility>
+
 #include "robust/fs_shim.h"
 #include "robust/wire.h"
 
@@ -8,14 +10,15 @@ namespace mlpart::serve {
 
 namespace {
 
-// Persisted snapshot layout (little-endian `cache.bin`):
-//   header  magic 'MLRC' u32 | version u32 | count u32 | crc32(header) u32
-//   entry   fingerprint u64 | payloadLen u64 | crc32(payload) u32 |
-//           encodeJobOutcome payload
-constexpr std::uint32_t kCacheMagic = 0x43524C4DU; // "MLRC"
-constexpr std::uint32_t kCacheVersion = 1;
-constexpr std::size_t kCacheHeaderBytes = 16;
-constexpr std::size_t kEntryHeaderBytes = 20;
+// Persisted snapshot `cache.bin`: robust records (wire.h, DESIGN.md §10
+// "Record codec"), tag u32 | len u64 | crc32 u32 | payload:
+//   'MLRC'  version u32 | entry count u32
+//   'MLRE'  fingerprint u64 | encodeJobOutcome bytes   (one per entry)
+// The fingerprint sits inside the CRC-covered payload, so bit rot cannot
+// file an outcome under a key that was never written.
+constexpr std::uint32_t kHeaderTag = 0x43524C4DU; // "MLRC"
+constexpr std::uint32_t kEntryTag = 0x45524C4DU;  // "MLRE"
+constexpr std::uint32_t kCacheVersion = 2;
 constexpr std::uint64_t kMaxEntryBytes = std::uint64_t{1} << 28;
 
 /// A persisted outcome must be something the live insert path could have
@@ -24,6 +27,20 @@ constexpr std::uint64_t kMaxEntryBytes = std::uint64_t{1} << 28;
 /// a poisoned cache entry served as a hit would silently change results.
 bool plausibleOutcome(const JobOutcome& o) {
     return o.status.ok() && o.cut >= 0 && !o.deadlineHit;
+}
+
+/// Decodes one entry record; false for a foreign tag, an undecodable
+/// payload, fingerprint 0, or an implausible outcome.
+bool decodeEntry(const robust::Record& rec, std::uint64_t& fingerprint, JobOutcome& outcome) {
+    if (rec.tag != kEntryTag) return false;
+    try {
+        robust::WireReader in = rec.reader();
+        fingerprint = in.u64();
+        outcome = decodeJobOutcome(in.data + in.pos, in.remaining());
+    } catch (const robust::Error&) {
+        return false;
+    }
+    return fingerprint != 0 && plausibleOutcome(outcome);
 }
 
 } // namespace
@@ -84,18 +101,18 @@ robust::Status ResultCache::saveToFile(const std::string& path) const {
     robust::WireWriter out;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        out.u32(kCacheMagic);
-        out.u32(kCacheVersion);
-        out.u32(static_cast<std::uint32_t>(index_.size()));
-        out.u32(robust::crc32(out.bytes.data(), out.bytes.size()));
+        robust::WireWriter header;
+        header.u32(kCacheVersion);
+        header.u32(static_cast<std::uint32_t>(index_.size()));
+        robust::appendRecord(out, kHeaderTag, header.bytes);
         // Oldest first so reloading re-inserts in LRU order and the most
         // recent entries end up at the front again.
         for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-            const std::vector<std::uint8_t> payload = encodeJobOutcome(it->outcome);
-            out.u64(it->fingerprint);
-            out.u64(payload.size());
-            out.u32(robust::crc32(payload.data(), payload.size()));
-            out.bytes.insert(out.bytes.end(), payload.begin(), payload.end());
+            robust::WireWriter entry;
+            entry.u64(it->fingerprint);
+            const std::vector<std::uint8_t> outcome = encodeJobOutcome(it->outcome);
+            entry.bytes.insert(entry.bytes.end(), outcome.begin(), outcome.end());
+            robust::appendRecord(out, kEntryTag, entry.bytes);
         }
     }
     return robust::atomicWriteFile(path, out.bytes, "result-cache");
@@ -109,65 +126,42 @@ int ResultCache::loadFromFile(const std::string& path) {
     } catch (const robust::Error&) {
         return 0; // missing or unreadable snapshot: cold cache, not an error
     }
-    // Structural validation: a damaged header drops the whole file — there
-    // is no way to trust any entry boundary past it.
-    if (bytes.size() < kCacheHeaderBytes) return 0;
-    const std::uint8_t* p = bytes.data();
-    const auto u32At = [&](std::size_t off) {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[off + i]) << (8 * i);
-        return v;
-    };
-    if (u32At(0) != kCacheMagic || u32At(4) != kCacheVersion) return 0;
-    const std::uint32_t count = u32At(8);
-    if (u32At(12) != robust::crc32(p, kCacheHeaderBytes - 4)) return 0;
+    // A damaged, foreign or future-version header record drops the whole
+    // file. Past it the valid prefix of entries loads: the scan stops at
+    // the first damaged record, since no boundary behind it can be trusted.
+    const robust::RecordScan scan =
+        robust::scanRecords(bytes.data(), bytes.size(), kMaxEntryBytes);
+    if (scan.records.empty() || scan.records[0].tag != kHeaderTag || scan.records[0].size != 8)
+        return 0;
+    robust::WireReader header = scan.records[0].reader();
+    if (header.u32() != kCacheVersion) return 0;
+    const std::uint32_t count = header.u32();
+    const std::size_t present = std::min<std::size_t>(count, scan.records.size() - 1);
 
-    int loaded = 0;
-    robust::WireReader in{p, bytes.size(), kCacheHeaderBytes};
-    for (std::uint32_t i = 0; i < count; ++i) {
+    std::vector<std::pair<std::uint64_t, JobOutcome>> valid;
+    std::int64_t rejected = 0;
+    for (std::size_t i = 1; i <= present; ++i) {
         std::uint64_t fingerprint = 0;
-        std::uint64_t len = 0;
-        std::uint32_t crc = 0;
-        try {
-            fingerprint = in.u64();
-            len = in.u64();
-            crc = in.u32();
-        } catch (const robust::Error&) {
-            break; // truncated tail: keep what already loaded
-        }
-        if (len > kMaxEntryBytes || len > in.remaining()) break;
-        const std::uint8_t* payload = in.data + in.pos;
-        in.pos += static_cast<std::size_t>(len);
-        if (robust::crc32(payload, static_cast<std::size_t>(len)) != crc) {
-            // Bit rot confined to one entry: skip it, the framing is intact.
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.loadRejected;
-            continue;
-        }
         JobOutcome outcome;
-        try {
-            outcome = decodeJobOutcome(payload, static_cast<std::size_t>(len));
-        } catch (const robust::Error&) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.loadRejected;
-            continue;
-        }
-        if (fingerprint == 0 || !plausibleOutcome(outcome)) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.loadRejected;
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            const auto it = index_.find(fingerprint);
-            if (it != index_.end()) continue; // live entry wins over disk
-            lru_.push_front(Entry{fingerprint, outcome, /*fromDisk=*/true});
-            index_[fingerprint] = lru_.begin();
-            ++loaded;
-            while (index_.size() > static_cast<std::size_t>(maxEntries_)) {
-                index_.erase(lru_.back().fingerprint);
-                lru_.pop_back();
-            }
+        if (decodeEntry(scan.records[i], fingerprint, outcome))
+            valid.emplace_back(fingerprint, std::move(outcome));
+        else
+            ++rejected; // foreign, undecodable or lying: never served as a hit
+    }
+    // The entry the scan stopped at failed its CRC: count it as rejected.
+    if (scan.damage == robust::RecordDamage::kCrcMismatch && present < count) ++rejected;
+
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.loadRejected += rejected;
+    int loaded = 0;
+    for (auto& [fingerprint, outcome] : valid) {
+        if (index_.find(fingerprint) != index_.end()) continue; // live entry wins over disk
+        lru_.push_front(Entry{fingerprint, std::move(outcome), /*fromDisk=*/true});
+        index_[fingerprint] = lru_.begin();
+        ++loaded;
+        while (index_.size() > static_cast<std::size_t>(maxEntries_)) {
+            index_.erase(lru_.back().fingerprint);
+            lru_.pop_back();
         }
     }
     return loaded;

@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "robust/checkpoint.h" // hashCombine
+#include "robust/wire.h" // hashCombine
 #include "serve/worker_pool.h"
 
 namespace mlpart::serve {

@@ -211,7 +211,7 @@ extern "C" void onWorkerTerm(int) { g_workerCancel.store(true, std::memory_order
 namespace {
 
 /// One job in a pool worker: re-arm fault injection, visit the
-/// containment sites, execute, frame the outcome onto `resultFd`. _exits
+/// containment sites, execute, write the outcome record to `resultFd`. _exits
 /// directly on a torn-write fault or a dead result pipe. Re-arming resets
 /// the injector's hit counters, so job N+1 sees the same fault
 /// determinism as job 1 instead of counters accumulated across the
@@ -260,22 +260,24 @@ void serveOneJob(const JobRequest& req, int attempt, int resultFd) {
         out.status = {StatusCode::kInternal, "worker: unexpected exception"};
     }
 
-    const std::vector<std::uint8_t> frame = robust::buildFrame(encodeJobOutcome(out));
+    robust::WireWriter record;
+    robust::appendRecord(record, kOutcomeRecordTag, encodeJobOutcome(out));
+    const std::vector<std::uint8_t>& bytes = record.bytes;
     try {
         MLPART_FAULT_SITE("serve.pipe");
     } catch (...) {
-        // Torn write: half a frame, then die. The parent's CRC framing
+        // Torn write: half a record, then die. The parent's record scan
         // must classify this as a parse error, never hang or mis-decode.
-        (void)robust::writeFull(resultFd, frame.data(), frame.size() / 2);
+        (void)robust::writeFull(resultFd, bytes.data(), bytes.size() / 2);
         _exit(robust::exitCodeFor(StatusCode::kInternal));
     }
-    robust::Status ws = robust::writeFull(resultFd, frame.data(), frame.size());
+    robust::Status ws = robust::writeFull(resultFd, bytes.data(), bytes.size());
     if (!ws.ok()) _exit(robust::exitCodeFor(StatusCode::kInternal));
 }
 
-/// Job-pipe frames carry inline netlists, so the sanity cap is generous;
+/// Job-pipe records carry inline netlists, so the sanity cap is generous;
 /// anything beyond it is not a request the parent would ever send.
-constexpr std::uint64_t kMaxRequestFrameBytes = 1ull << 30;
+constexpr std::uint64_t kMaxRequestRecordBytes = 1ull << 30;
 
 /// Closes [first, last] without enumerating a potentially huge fd table:
 /// one close_range(2) syscall where the kernel has it, a bounded loop
@@ -323,18 +325,17 @@ void workerPoolMain(int jobFd, int resultFd) {
         JobRequest req;
         std::int32_t attempt = 0;
         try {
-            std::vector<std::uint8_t> frame(robust::kFrameHeaderBytes);
-            const std::size_t got = robust::readFull(jobFd, frame.data(), frame.size());
+            std::vector<std::uint8_t> bytes(robust::kRecordHeaderBytes);
+            const std::size_t got = robust::readFull(jobFd, bytes.data(), bytes.size());
             if (got == 0) _exit(0); // EOF between jobs: clean pool shutdown
-            if (got < frame.size())
-                throw Error(StatusCode::kParseError, "job frame header truncated");
-            frame.resize(robust::frameSize(frame.data(), kMaxRequestFrameBytes));
-            const std::size_t rest = frame.size() - robust::kFrameHeaderBytes;
-            if (robust::readFull(jobFd, frame.data() + robust::kFrameHeaderBytes, rest) != rest)
-                throw Error(StatusCode::kParseError, "job frame truncated");
-            const std::vector<std::uint8_t> payload =
-                robust::parseFrame(frame.data(), frame.size());
-            req = decodeJobRequest(payload.data(), payload.size(), attempt);
+            if (got < bytes.size())
+                throw Error(StatusCode::kParseError, "job record header truncated");
+            bytes.resize(robust::recordSize(bytes.data(), kMaxRequestRecordBytes));
+            const std::size_t rest = bytes.size() - robust::kRecordHeaderBytes;
+            if (robust::readFull(jobFd, bytes.data() + robust::kRecordHeaderBytes, rest) != rest)
+                throw Error(StatusCode::kParseError, "job record truncated");
+            const robust::Record rec = pipeRecord(bytes.data(), bytes.size(), kRequestRecordTag);
+            req = decodeJobRequest(rec.payload, rec.size, attempt);
         } catch (const Error& e) {
             _exit(robust::exitCodeFor(e.code())); // kParseError, or kInternal on a read error
         } catch (...) {

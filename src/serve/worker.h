@@ -6,8 +6,8 @@
 // what actually runs inside each pre-forked worker: it installs the
 // SIGTERM→cancel handler and, per job read off its job pipe, re-arms
 // fault injection (the containment tests' handle), visits the
-// serve.worker_crash / serve.worker_hang / serve.pipe sites, and frames
-// the outcome onto the result pipe. It always leaves via _exit() — a
+// serve.worker_crash / serve.worker_hang / serve.pipe sites, and writes
+// the outcome record to the result pipe. It always leaves via _exit() — a
 // worker never returns into the parent's stack.
 #pragma once
 
@@ -36,12 +36,12 @@ namespace mlpart::serve {
 void closeInheritedFds(std::initializer_list<int> keep);
 
 /// Child entry for a pre-forked pool worker (DESIGN.md §13): loops
-/// reading CRC-framed JobRequests from `jobFd` and answering each with
-/// one CRC-framed JobOutcome on `resultFd`. Per job it clears the cancel
+/// reading JobRequest records (robust/wire.h) from `jobFd` and answering
+/// each with one JobOutcome record on `resultFd`. Per job it clears the cancel
 /// flag and re-arms fault injection from the request spec (or the
 /// environment when the spec is empty), so every job sees fresh fault
 /// hit counters however long its worker has lived. EOF on `jobFd` is the
-/// clean shutdown signal (_exit(0)); any framing damage on the job pipe
+/// clean shutdown signal (_exit(0)); any record damage on the job pipe
 /// is fatal to the worker, never guessed around. Never returns.
 [[noreturn]] void workerPoolMain(int jobFd, int resultFd);
 #endif

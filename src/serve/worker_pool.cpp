@@ -34,9 +34,9 @@ std::int64_t nowNs() {
 
 constexpr std::int64_t kNoKill = std::int64_t{1} << 62;
 
-/// Outcome frames are a status message plus scalars; anything bigger than
-/// this on the result pipe is a protocol violation, not a result.
-constexpr std::uint64_t kMaxOutcomeFrameBytes = 1ull << 20;
+/// Outcome records are a status message plus scalars; anything bigger
+/// than this on the result pipe is a protocol violation, not a result.
+constexpr std::uint64_t kMaxOutcomeRecordBytes = 1ull << 20;
 
 } // namespace
 
@@ -169,14 +169,14 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
     // Ship the job. A failed write means the worker died since its last
     // job (EPIPE on a closed read end): recycle once and retry with a
     // fresh process before giving up on this attempt.
-    const std::vector<std::uint8_t> jobFrame =
-        robust::buildFrame(encodeJobRequest(req, attempt));
-    if (!robust::writeFull(s.jobFd, jobFrame.data(), jobFrame.size()).ok()) {
+    robust::WireWriter job;
+    robust::appendRecord(job, kRequestRecordTag, encodeJobRequest(req, attempt));
+    if (!robust::writeFull(s.jobFd, job.bytes.data(), job.bytes.size()).ok()) {
         (void)reap(s);
         noteFailure(s);
         waitOutBackoff(s);
         spawn(s);
-        if (!robust::writeFull(s.jobFd, jobFrame.data(), jobFrame.size()).ok()) {
+        if (!robust::writeFull(s.jobFd, job.bytes.data(), job.bytes.size()).ok()) {
             (void)reap(s);
             noteFailure(s);
             throw Error(StatusCode::kInternal,
@@ -185,7 +185,7 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
     }
 
     // Supervise the result under the watchdog / drain / cancel policy,
-    // reading until one complete frame — not pipe EOF, because a healthy
+    // reading until one complete record — not pipe EOF, because a healthy
     // worker stays alive (and keeps the pipe open) for its next job.
     const double deadline =
         req.deadlineSeconds > 0 ? req.deadlineSeconds : cfg.defaultDeadlineSeconds;
@@ -195,11 +195,11 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
     bool sigtermSent = false;
 
     std::vector<std::uint8_t> buf;
-    std::size_t want = 0; // complete-frame size once the header is in
-    bool frameDone = false;
+    std::size_t want = 0; // complete-record size once the header is in
+    bool recordDone = false;
     bool eof = false;
-    std::string frameError = "no result frame";
-    while (!frameDone && !eof) {
+    std::string recordError = "no result record";
+    while (!recordDone && !eof) {
         const std::int64_t now = nowNs();
         if (cancel != nullptr && !sigtermSent &&
             cancel->load(std::memory_order_relaxed)) {
@@ -238,38 +238,37 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
             break;
         }
         buf.insert(buf.end(), chunk, chunk + n);
-        if (want == 0 && buf.size() >= robust::kFrameHeaderBytes) {
+        if (want == 0 && buf.size() >= robust::kRecordHeaderBytes) {
             try {
-                want = robust::frameSize(buf.data(), kMaxOutcomeFrameBytes);
+                want = robust::recordSize(buf.data(), kMaxOutcomeRecordBytes);
             } catch (const Error& e) {
-                frameError = e.what();
+                recordError = e.what();
                 break;
             }
         }
         if (want > 0 && buf.size() >= want) {
             if (buf.size() > want) {
-                frameError = "trailing bytes after the result frame";
+                recordError = "trailing bytes after the result record";
                 break;
             }
-            frameDone = true;
+            recordDone = true;
         }
     }
 
-    if (frameDone) {
+    if (recordDone) {
         try {
-            const std::vector<std::uint8_t> payload =
-                robust::parseFrame(buf.data(), buf.size());
-            a.outcome = decodeJobOutcome(payload.data(), payload.size());
+            const robust::Record rec = pipeRecord(buf.data(), buf.size(), kOutcomeRecordTag);
+            a.outcome = decodeJobOutcome(rec.payload, rec.size);
             std::lock_guard<std::mutex> lock(mu_);
             ++s.jobsServed;
             s.consecutiveFailures = 0;
             return a; // the worker survives and stays pooled
         } catch (const Error& e) {
-            frameError = e.what(); // CRC-valid framing lied: treat as hostile
+            recordError = e.what(); // damaged or lying record: treat as hostile
         }
     }
 
-    // The worker is unusable: dead (EOF / torn frame) or speaking a
+    // The worker is unusable: dead (EOF / torn record) or speaking a
     // corrupt protocol. Make sure it is dead, reap it, classify the
     // corpse, and account the failure toward this slot's backoff.
     if (s.pid >= 0 && !eof) kill(s.pid, SIGKILL);
@@ -278,7 +277,7 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
 
     if (a.watchdogKilled) {
         a.outcome.status = {StatusCode::kDeadlineExceeded,
-                            "watchdog killed pool worker past deadline+grace (" + frameError +
+                            "watchdog killed pool worker past deadline+grace (" + recordError +
                                 ")"};
         return a;
     }
@@ -286,14 +285,14 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
         a.crashed = true;
         a.outcome.status = {StatusCode::kWorkerCrashed,
                             "pool worker killed by signal " +
-                                std::to_string(WTERMSIG(wstatus)) + " (" + frameError + ")"};
+                                std::to_string(WTERMSIG(wstatus)) + " (" + recordError + ")"};
         return a;
     }
     const int exitCode = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : 1;
-    a.crashed = true; // exited mid-job without a valid result frame
+    a.crashed = true; // exited mid-job without a valid result record
     a.outcome.status = {robust::statusForExitCode(exitCode),
                         "pool worker exited " + std::to_string(exitCode) +
-                            " without a valid result frame (" + frameError + ")"};
+                            " without a valid result record (" + recordError + ")"};
     return a;
 }
 

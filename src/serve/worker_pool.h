@@ -1,10 +1,10 @@
 // Pre-forked worker pool (DESIGN.md §13) — the service's only way to
 // run a job.
 //
-// Each slot owns one long-lived child process that serves framed
-// JobRequests from a pipe and answers each with one CRC-framed
-// JobOutcome, so a stream of small jobs pays no fork per job while
-// containment stays per *worker*: a worker that crashes, tears a frame,
+// Each slot owns one long-lived child process that serves JobRequest
+// records (robust/wire.h) from a pipe and answers each with one CRC
+// record holding its JobOutcome, so a stream of small jobs pays no fork per job while
+// containment stays per *worker*: a worker that crashes, tears a record,
 // violates the protocol, or is watchdog-killed is reaped and respawned
 // on the next job — with per-slot crash accounting and exponential
 // backoff on a flapping worker, so a poisoned pool degrades into slow
@@ -59,7 +59,7 @@ public:
     /// Dispatches one job attempt to slot `slot`, spawning or respawning
     /// the worker as needed (honouring the slot's backoff). Applies the
     /// watchdog / drain / cancel supervision policy and classifies every
-    /// worker failure mode into the returned Attempt (valid frame >
+    /// worker failure mode into the returned Attempt (valid record >
     /// watchdog > signal > exit code). Throws only for parent-side spawn
     /// failures (classified retryable by the caller).
     [[nodiscard]] Attempt runAttempt(int slot, const JobRequest& req, int attempt,
@@ -86,8 +86,8 @@ public:
 private:
     struct Slot {
         pid_t pid = -1;
-        int jobFd = -1;    ///< parent writes framed requests
-        int resultFd = -1; ///< parent reads framed outcomes
+        int jobFd = -1;    ///< parent writes request records
+        int resultFd = -1; ///< parent reads outcome records
         std::int64_t jobsServed = 0;
         std::int64_t crashes = 0;
         std::int64_t respawns = 0;

@@ -5,9 +5,11 @@
 // declared counts). Runs clean under ASan/UBSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,6 +21,8 @@
 #include "hypergraph/netd_format.h"
 #include "robust/checkpoint.h"
 #include "robust/status.h"
+#include "robust/wire.h"
+#include "serve/job.h"
 #include "serve/journal.h"
 #include "serve/result_cache.h"
 
@@ -91,7 +95,8 @@ TEST(CorruptCorpus, EveryFixtureRejectedWithParseError) {
 }
 
 // Damaged binary checkpoints: every class of corruption — torn write,
-// bit rot, wrong version, foreign file, damaged header — must surface as
+// bit rot, wrong version, foreign file, damaged header, a file in the
+// version-1 layout that preceded the record codec — must surface as
 // a clean Error(kParseError) from loadCheckpoint, which the resume path
 // turns into a fresh-start fallback. A crash here would turn "lost a
 // checkpoint" into "lost the whole run".
@@ -103,6 +108,7 @@ const CorruptCase kCheckpointCases[] = {
     {"bad_magic.ckpt", "bad magic"},
     {"header_crc.ckpt", "header CRC mismatch"},
     {"too_short.ckpt", "too short"},
+    {"legacy_v1.ckpt", "header length over the cap"}, // the version-1 layout
 };
 
 TEST(CorruptCorpus, EveryCheckpointFixtureRejectedWithParseError) {
@@ -149,8 +155,9 @@ TEST(CorruptCorpus, ErrorsRemainCatchableAsRuntimeError) {
 // truncate-and-continue — drop the damaged tail, keep every record in
 // front of it, and come back up serving. Each fixture holds one good
 // Admit+Start for job "alpha" followed by one damage class; the
-// exception is journal_bad_magic.wal, whose very first record is rotten
-// so recovery keeps nothing. recover() truncates the file in place, so
+// exceptions are journal_bad_magic.wal, whose very first record is
+// rotten, and journal_legacy_v1.wal, written in the layout that preceded
+// the record codec, so recovery keeps nothing. recover() truncates the file in place, so
 // every fixture is copied into a scratch state dir first.
 struct JournalCase {
     const char* file;
@@ -158,14 +165,15 @@ struct JournalCase {
 };
 
 const JournalCase kJournalCases[] = {
-    {"journal_bad_magic.wal", 0},     // foreign file / rotten first frame
-    {"journal_bad_type.wal", 1},      // unknown record type 9
-    {"journal_torn_header.wal", 1},   // tail torn inside the 13-byte frame
-    {"journal_torn_payload.wal", 1},  // frame promises bytes the file lacks
+    {"journal_bad_magic.wal", 0},     // rotten first tag: CRC mismatch
+    {"journal_bad_type.wal", 1},      // CRC-valid record, unknown tag
+    {"journal_torn_header.wal", 1},   // tail torn inside the 16-byte header
+    {"journal_torn_payload.wal", 1},  // header promises bytes the file lacks
     {"journal_crc_mismatch.wal", 1},  // payload flipped after CRC
     {"journal_huge_len.wal", 1},      // declared length over the 2^28 cap
     {"journal_orphan_done.wal", 1},   // Done for a never-admitted seq
-    {"journal_garbage_admit.wal", 1}, // frame-valid, undecodable request
+    {"journal_garbage_admit.wal", 1}, // CRC-valid, undecodable request
+    {"journal_legacy_v1.wal", 0},     // 'MLJR' layout before the record codec
 };
 
 std::string journalScratchDir() {
@@ -213,10 +221,10 @@ TEST(CorruptCorpus, EveryJournalFixtureRecoversByTruncation) {
 }
 
 // Damaged persisted result caches. loadFromFile never throws: header
-// damage drops the whole file (no entry boundary can be trusted past
-// it), per-entry damage drops that entry, and CRC-valid entries whose
-// outcomes lie (failed status, negative cut, deadline-hit) are refused
-// so a rotten snapshot can never be served as a cache hit.
+// damage drops the whole file, the entries in front of the first damaged
+// record load (a CRC-failed one counts as rejected), and CRC-valid
+// entries whose outcomes lie (failed status, negative cut, deadline-hit)
+// are refused so a rotten snapshot can never be served as a cache hit.
 struct CacheCase {
     const char* file;
     int expectedLoaded;
@@ -231,6 +239,7 @@ const CacheCase kCacheCases[] = {
     {"cache_entry_crc.bin", 1, 1},       // one entry bit-rotten
     {"cache_len_lie.bin", 1, 0},         // absurd declared entry length
     {"cache_lying_entry.bin", 1, 3},     // CRC-valid but implausible
+    {"cache_legacy_v1.bin", 0, 0},       // layout before the record codec
 };
 
 TEST(CorruptCorpus, EveryCacheFixtureLoadsOnlyTrustworthyEntries) {
@@ -254,6 +263,197 @@ TEST(CorruptCorpus, EveryCacheFixtureLoadsOnlyTrustworthyEntries) {
         EXPECT_FALSE(cache.lookup(0x3333, out));
         EXPECT_FALSE(cache.lookup(0x4444, out));
     }
+}
+
+// Seeded mutants of the four record formats (robust/wire.h): bit flips,
+// truncations and record-length overwrites, one to three per mutant.
+// Each format's damage policy must hold on every mutant:
+//   journal     recovery keeps a prefix of the original records;
+//   cache       loads only a subset of the written (fingerprint, outcome)
+//               pairs — a flipped fingerprint must never load;
+//   checkpoint  parses to the original or throws kParseError;
+//   pipe        parses to the original or throws kParseError.
+constexpr int kRecordMutants = 400;
+
+std::vector<std::size_t> recordOffsets(const std::vector<std::uint8_t>& bytes) {
+    const robust::RecordScan scan = robust::scanRecords(bytes.data(), bytes.size(), 1u << 30);
+    EXPECT_EQ(scan.damage, robust::RecordDamage::kNone);
+    std::vector<std::size_t> offsets;
+    for (const robust::Record& r : scan.records) offsets.push_back(r.offset);
+    offsets.push_back(bytes.size());
+    return offsets;
+}
+
+std::vector<std::uint8_t> mutateRecords(std::vector<std::uint8_t> bytes,
+                                        const std::vector<std::size_t>& offsets,
+                                        std::mt19937_64& rng) {
+    const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    for (int op = 1 + static_cast<int>(pick(3)); op > 0 && !bytes.empty(); --op) {
+        const std::size_t at = offsets[pick(offsets.size() - 1)] + 4; // a length field
+        if (pick(3) == 0) {
+            bytes[pick(bytes.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+        } else if (pick(2) == 0) {
+            bytes.resize(pick(bytes.size()));
+        } else if (at + 8 <= bytes.size()) {
+            // A random length, a near miss, or one past any cap.
+            std::uint64_t len = 0;
+            for (int i = 0; i < 8; ++i) len |= std::uint64_t{bytes[at + i]} << (8 * i);
+            const std::uint64_t how = pick(3);
+            len = how == 0 ? rng() : how == 1 ? len + 1 + pick(16) - 8 : len << 20;
+            for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<std::uint8_t>(len >> (8 * i));
+        }
+    }
+    return bytes;
+}
+
+void writeBytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<std::uint8_t> readBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Every mutant of `original` must come back from `reencode` (parse,
+/// then encode again) byte-identical, or throw kParseError. Returns how
+/// many mutants were refused.
+template <typename Reencode>
+int expectOriginalOrParseError(const std::vector<std::uint8_t>& original, Reencode reencode,
+                               std::mt19937_64& rng) {
+    const std::vector<std::size_t> offsets = recordOffsets(original);
+    int refused = 0;
+    for (int i = 0; i < kRecordMutants; ++i) {
+        try {
+            EXPECT_EQ(reencode(mutateRecords(original, offsets, rng)), original) << "mutant " << i;
+        } catch (const robust::Error& e) {
+            EXPECT_EQ(e.code(), robust::StatusCode::kParseError) << e.what();
+            ++refused;
+        }
+    }
+    return refused;
+}
+
+serve::JobOutcome sampleOutcome(std::uint64_t fingerprint) {
+    serve::JobOutcome o;
+    o.cut = static_cast<std::int64_t>(fingerprint % 97);
+    o.runsOk = 2;
+    o.partitionCrc = static_cast<std::uint32_t>(fingerprint * 0x9E3779B1u);
+    return o;
+}
+
+TEST(CorruptCorpus, SeededRecordMutantsKeepEachFormatsDamagePolicy) {
+    std::mt19937_64 rng(20261020);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "mlpart_record_mutants";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    // Journal: the surviving file is the original cut at a record
+    // boundary, and recovery plans exactly what that prefix holds.
+    const std::string wal = (dir / "journal.wal").string();
+    {
+        serve::Journal j(dir.string());
+        (void)j.recover();
+        serve::JobRequest req;
+        req.inlineHgr = "2 4\n1 2\n3 4\n";
+        serve::JobResult res;
+        res.outcome = sampleOutcome(3);
+        for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+            req.id = res.id = "job" + std::to_string(seq);
+            ASSERT_TRUE(j.appendAdmit(seq, req).ok());
+            ASSERT_TRUE(j.appendStart(seq).ok());
+            const robust::Status closed = seq == 1   ? j.appendDone(seq, res)
+                                          : seq == 2 ? j.appendDrop(seq)
+                                                     : robust::Status::okStatus();
+            ASSERT_TRUE(closed.ok());
+        }
+    }
+    const std::vector<std::uint8_t> journal = readBytes(wal);
+    const std::vector<std::size_t> offsets = recordOffsets(journal);
+    const auto recoveryPlan = [&](const std::vector<std::uint8_t>& bytes) {
+        writeBytes(wal, bytes);
+        serve::Journal j(dir.string());
+        std::string plan;
+        const serve::Journal::Recovery rec = j.recover();
+        for (const auto& p : rec.pending) plan += p.req.id + (p.started ? "+start " : " ");
+        for (const auto& c : rec.completed) plan += c.id + "+done ";
+        return plan;
+    };
+    std::vector<std::string> prefixPlans;
+    for (const std::size_t off : offsets)
+        prefixPlans.push_back(recoveryPlan({journal.begin(), journal.begin() + off}));
+    int shortened = 0;
+    for (int i = 0; i < kRecordMutants; ++i) {
+        const std::string plan = recoveryPlan(mutateRecords(journal, offsets, rng));
+        const std::vector<std::uint8_t> kept = readBytes(wal);
+        const auto k = std::find(offsets.begin(), offsets.end(), kept.size()) - offsets.begin();
+        ASSERT_LT(k, offsets.size()) << "mutant " << i << " kept a partial record";
+        ASSERT_TRUE(std::equal(kept.begin(), kept.end(), journal.begin())) << "mutant " << i;
+        ASSERT_EQ(plan, prefixPlans[static_cast<std::size_t>(k)]) << "mutant " << i;
+        shortened += kept.size() < journal.size();
+    }
+    EXPECT_GT(shortened, kRecordMutants / 2);
+
+    // Cache: every loaded entry is one that was written, under its key.
+    const std::string cachePath = (dir / "cache.bin").string();
+    const std::uint64_t fingerprints[] = {0x1111, 0x2222, 0x3333};
+    {
+        serve::ResultCache cache(16);
+        for (const std::uint64_t fp : fingerprints) cache.insert(fp, sampleOutcome(fp));
+        ASSERT_TRUE(cache.saveToFile(cachePath).ok());
+    }
+    const std::vector<std::uint8_t> cacheBytes = readBytes(cachePath);
+    const std::vector<std::size_t> cacheOffsets = recordOffsets(cacheBytes);
+    int partial = 0;
+    for (int i = 0; i < kRecordMutants; ++i) {
+        writeBytes(cachePath, mutateRecords(cacheBytes, cacheOffsets, rng));
+        serve::ResultCache cache(16);
+        const int loaded = cache.loadFromFile(cachePath);
+        int written = 0;
+        for (const std::uint64_t fp : fingerprints) {
+            serve::JobOutcome out;
+            if (!cache.lookup(fp, out)) continue;
+            ++written;
+            ASSERT_EQ(serve::encodeJobOutcome(out), serve::encodeJobOutcome(sampleOutcome(fp)));
+        }
+        ASSERT_EQ(cache.stats().entries, loaded) << "mutant " << i;
+        ASSERT_EQ(written, loaded) << "mutant " << i << " loaded a key that was never written";
+        partial += loaded < 3;
+    }
+    EXPECT_GT(partial, kRecordMutants / 2);
+
+    // Checkpoint: all or nothing, including a cut at every record boundary.
+    const std::vector<std::uint8_t> ckpt = readBytes(corruptPath("valid_base.ckpt"));
+    const std::vector<std::size_t> ckptOffsets = recordOffsets(ckpt);
+    for (std::size_t k = 0; k + 1 < ckptOffsets.size(); ++k) {
+        try {
+            (void)robust::parseCheckpoint(ckpt.data(), ckptOffsets[k]);
+            ADD_FAILURE() << "checkpoint cut at record " << k << " parsed";
+        } catch (const robust::Error& e) {
+            EXPECT_EQ(e.code(), robust::StatusCode::kParseError);
+        }
+    }
+    const auto reparseCheckpoint = [](const std::vector<std::uint8_t>& m) {
+        return robust::serializeCheckpoint(robust::parseCheckpoint(m.data(), m.size()));
+    };
+    EXPECT_GT(expectOriginalOrParseError(ckpt, reparseCheckpoint, rng), kRecordMutants * 9 / 10);
+
+    // Pipe: the outcome that was sent, or a parse error.
+    const auto outcomeRecord = [](const serve::JobOutcome& o) {
+        robust::WireWriter w;
+        robust::appendRecord(w, serve::kOutcomeRecordTag, serve::encodeJobOutcome(o));
+        return std::move(w.bytes);
+    };
+    const auto reparsePipe = [&](const std::vector<std::uint8_t>& m) {
+        const robust::Record rec = serve::pipeRecord(m.data(), m.size(), serve::kOutcomeRecordTag);
+        return outcomeRecord(serve::decodeJobOutcome(rec.payload, rec.size));
+    };
+    EXPECT_GT(expectOriginalOrParseError(outcomeRecord(sampleOutcome(12)), reparsePipe, rng),
+              kRecordMutants * 9 / 10);
+    std::filesystem::remove_all(dir);
 }
 
 // Seeded byte mutations of small valid .hgr files: bit flips, truncations,

@@ -1,4 +1,4 @@
-// Tests for the write-ahead job journal (DESIGN.md §16): record framing,
+// Tests for the write-ahead job journal (DESIGN.md §16): record scanning,
 // admission/start/completion round-trips, torn-tail truncation, orphan
 // and duplicate record semantics, compaction, and degraded non-durable
 // mode under every injected fs.* fault site.
@@ -159,7 +159,8 @@ TEST(Journal, TornTailIsTruncatedAndEarlierRecordsSurvive) {
     {
         // A crash mid-append: the record header lands, the payload does not.
         std::ofstream out(wal, std::ios::binary | std::ios::app);
-        const char tear[] = {'M', 'L', 'J', 'R', 1, 40, 0, 0, 0};
+        // An Admit header ("MLJA", 40 payload bytes, CRC) and nothing else.
+        const char tear[] = {'M', 'L', 'J', 'A', 40, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4};
         out.write(tear, sizeof(tear));
     }
     Journal j2(dir);

@@ -295,6 +295,22 @@ TEST(FaultInjection, ArmFromEnvParsesTheSpec) {
     }
     ::setenv("MLPART_FAULT_INJECTION", "kind=quantum", 1);
     EXPECT_THROW(fi.armFromEnv(), Error);
+
+    // Every number must parse as a whole: a trailing suffix, a sign on
+    // an unsigned, or nothing at all is a usage error, not a prefix.
+    for (const char* spec : {"site=x,at=3abc", "p=0.5x", "max=2zz", "seed=-1", "at=", "p= 0.5",
+                             "seed=99999999999999999999"}) {
+        SCOPED_TRACE(spec);
+        ::setenv("MLPART_FAULT_INJECTION", spec, 1);
+        try {
+            fi.armFromEnv();
+            FAIL() << "malformed number accepted";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), StatusCode::kUsage);
+        }
+    }
+    ::setenv("MLPART_FAULT_INJECTION", "p=0.25,seed=7,at=3,max=2,kind=alloc", 1);
+    EXPECT_TRUE(fi.armFromEnv());
     ::unsetenv("MLPART_FAULT_INJECTION");
 }
 

@@ -1,5 +1,5 @@
 // Tests for the supervised partitioning service (DESIGN.md §11, §13): the
-// NDJSON job schema, the CRC-framed worker protocol, crash containment
+// NDJSON job schema, the CRC-record worker protocol, crash containment
 // with retry on pre-forked pool workers, watchdog kills, admission
 // control / load-shedding, and graceful drain. The serve.* fault sites
 // that robust_test skips are exercised here.
@@ -243,9 +243,30 @@ TEST(ServeJob, RejectsBadRequests) {
     EXPECT_THROW((void)parseJobRequest(tinyJob("x", "\"engine\":\"magic\"")), Error);
     EXPECT_THROW((void)parseJobRequest(tinyJob("x", "\"resume\":true")), Error);
     EXPECT_THROW((void)parseJobRequest("{\"op\":\"teleport\"}"), Error);
+    // A fault spec with a malformed number is refused at admission.
+    EXPECT_THROW((void)parseJobRequest(tinyJob("x", "\"fault\":\"site=x,at=3abc\"")), Error);
 }
 
-// ------------------------------------------------- result frame protocol
+// ------------------------------------------------ result record protocol
+
+std::vector<std::uint8_t> outcomeRecord(const JobOutcome& o) {
+    robust::WireWriter w;
+    robust::appendRecord(w, kOutcomeRecordTag, encodeJobOutcome(o));
+    return std::move(w.bytes);
+}
+
+/// pipeRecord must refuse the first `n` bytes with a kParseError whose
+/// message contains `what`.
+void expectPipeParseError(const std::vector<std::uint8_t>& bytes, std::size_t n,
+                          std::uint32_t tag = kOutcomeRecordTag, const char* what = "") {
+    try {
+        (void)pipeRecord(bytes.data(), n, tag);
+        ADD_FAILURE() << "a damaged " << n << "-byte record parsed";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), StatusCode::kParseError) << n << " bytes";
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+}
 
 TEST(ServeWire, OutcomeSurvivesTheFrameRoundTrip) {
     JobOutcome o;
@@ -256,9 +277,9 @@ TEST(ServeWire, OutcomeSurvivesTheFrameRoundTrip) {
     o.seconds = 1.5;
     o.partitionCrc = 0xDEADBEEF;
     o.deadlineHit = true;
-    const std::vector<std::uint8_t> frame = robust::buildFrame(encodeJobOutcome(o));
-    const std::vector<std::uint8_t> payload = robust::parseFrame(frame.data(), frame.size());
-    const JobOutcome back = decodeJobOutcome(payload.data(), payload.size());
+    const std::vector<std::uint8_t> bytes = outcomeRecord(o);
+    const robust::Record rec = pipeRecord(bytes.data(), bytes.size(), kOutcomeRecordTag);
+    const JobOutcome back = decodeJobOutcome(rec.payload, rec.size);
     EXPECT_EQ(back.status.code, StatusCode::kDeadlineExceeded);
     EXPECT_EQ(back.status.message, "best-so-far");
     EXPECT_EQ(back.cut, 42);
@@ -272,65 +293,47 @@ TEST(ServeWire, EveryTornPrefixIsAParseErrorNeverGarbage) {
     JobOutcome o;
     o.status = {StatusCode::kOk, ""};
     o.cut = 7;
-    const std::vector<std::uint8_t> frame = robust::buildFrame(encodeJobOutcome(o));
+    const std::vector<std::uint8_t> bytes = outcomeRecord(o);
     // A worker can die after writing any prefix; all of them must classify.
-    for (std::size_t n = 0; n < frame.size(); ++n) {
-        try {
-            (void)robust::parseFrame(frame.data(), n);
-            FAIL() << "torn prefix of " << n << " bytes parsed as a frame";
-        } catch (const Error& e) {
-            EXPECT_EQ(e.code(), StatusCode::kParseError) << "prefix " << n;
-        }
-    }
+    for (std::size_t n = 0; n < bytes.size(); ++n) expectPipeParseError(bytes, n);
 }
 
 TEST(ServeWire, CorruptionAndTrailingBytesAreParseErrors) {
-    const std::vector<std::uint8_t> frame =
-        robust::buildFrame(encodeJobOutcome(JobOutcome{}));
-    std::vector<std::uint8_t> flipped = frame;
+    std::vector<std::uint8_t> flipped = outcomeRecord(JobOutcome{});
     flipped.back() ^= 0x40; // payload corruption the length check passes
-    EXPECT_THROW((void)robust::parseFrame(flipped.data(), flipped.size()), Error);
-    std::vector<std::uint8_t> trailing = frame;
+    expectPipeParseError(flipped, flipped.size(), kOutcomeRecordTag, "CRC mismatch");
+    std::vector<std::uint8_t> trailing = outcomeRecord(JobOutcome{});
     trailing.push_back(0);
-    EXPECT_THROW((void)robust::parseFrame(trailing.data(), trailing.size()), Error);
+    expectPipeParseError(trailing, trailing.size(), kOutcomeRecordTag, "trailing bytes");
 }
 
 TEST(ServeWire, BadMagicIsAParseError) {
-    std::vector<std::uint8_t> frame = robust::buildFrame(encodeJobOutcome(JobOutcome{}));
-    EXPECT_EQ(robust::frameSize(frame.data(), 1u << 20), frame.size());
-    frame[0] ^= 0x01; // 'M' -> 'L'
-    for (const bool whole : {false, true}) {
-        try {
-            if (whole)
-                (void)robust::parseFrame(frame.data(), frame.size());
-            else
-                (void)robust::frameSize(frame.data(), 1u << 20);
-            FAIL() << "bad magic accepted (whole=" << whole << ")";
-        } catch (const Error& e) {
-            EXPECT_EQ(e.code(), StatusCode::kParseError);
-            EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos) << e.what();
-        }
-    }
+    std::vector<std::uint8_t> bytes = outcomeRecord(JobOutcome{});
+    EXPECT_EQ(robust::recordSize(bytes.data(), 1u << 20), bytes.size());
+    // An undamaged record with the other direction's tag is still refused.
+    expectPipeParseError(bytes, bytes.size(), kRequestRecordTag, "foreign tag");
+    // The CRC covers the tag: a flipped tag byte is damage.
+    bytes[0] ^= 0x01;
+    expectPipeParseError(bytes, bytes.size(), kOutcomeRecordTag, "CRC mismatch");
 }
 
 TEST(ServeWire, OverCapLengthIsAParseError) {
-    const std::vector<std::uint8_t> frame =
-        robust::buildFrame(encodeJobOutcome(JobOutcome{}));
-    const std::uint64_t payload = frame.size() - robust::kFrameHeaderBytes;
+    const std::vector<std::uint8_t> bytes = outcomeRecord(JobOutcome{});
+    const std::uint64_t payload = bytes.size() - robust::kRecordHeaderBytes;
     // At the cap the header is fine; one byte under it, the same header is
     // refused before a reader would wait for (or allocate) the payload.
-    EXPECT_EQ(robust::frameSize(frame.data(), payload), frame.size());
+    EXPECT_EQ(robust::recordSize(bytes.data(), payload), bytes.size());
     try {
-        (void)robust::frameSize(frame.data(), payload - 1);
+        (void)robust::recordSize(bytes.data(), payload - 1);
         FAIL() << "over-cap length accepted";
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), StatusCode::kParseError);
     }
-    // A header declaring ~2^40 payload bytes is refused by parseFrame too.
-    std::vector<std::uint8_t> huge = frame;
+    // A header declaring ~2^40 payload bytes is refused by the parse too.
+    std::vector<std::uint8_t> huge = bytes;
     huge[4 + 5] = 0x01;
-    EXPECT_THROW((void)robust::frameSize(huge.data(), std::uint64_t{1} << 32), Error);
-    EXPECT_THROW((void)robust::parseFrame(huge.data(), huge.size()), Error);
+    EXPECT_THROW((void)robust::recordSize(huge.data(), std::uint64_t{1} << 32), Error);
+    expectPipeParseError(huge, huge.size());
 }
 
 // --------------------------------------------------- in-process worker

@@ -48,7 +48,8 @@
 //                     Phase times (coarsen_sec, refine_sec) present in the
 //                     baseline are gated at the same percentage, but only
 //                     when the baseline phase is >= 0.1s (smaller phases
-//                     are timer-noise-dominated).
+//                     are timer-noise-dominated). The baseline is read
+//                     before the run; a malformed value exits 1.
 //     --max-regression PCT   allowed slowdown vs baseline (default 25)
 //     --max-rss-regression PCT  allowed peak-RSS growth vs baseline
 //                     (default 50; RSS is a process-wide high-water mark,
@@ -57,6 +58,7 @@
 //
 // A malformed numeric flag value exits 2 with the flag named.
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -66,6 +68,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <sys/resource.h>
 #include <thread>
 #include <vector>
@@ -455,8 +458,8 @@ std::map<std::string, BaselineEntry> readBaseline(const std::string& path) {
     std::map<std::string, BaselineEntry> entries;
     std::string line, current;
     while (std::getline(in, line)) {
-        const auto grab = [&](const char* key) -> std::string {
-            const std::size_t k = line.find(key);
+        const auto grab = [&](const std::string& key) -> std::string {
+            const std::size_t k = line.find("\"" + key + "\"");
             if (k == std::string::npos) return {};
             std::size_t v = line.find(':', k);
             if (v == std::string::npos) return {};
@@ -466,15 +469,25 @@ std::map<std::string, BaselineEntry> readBaseline(const std::string& path) {
                        rest.end());
             return rest;
         };
-        if (std::string v = grab("\"instance\""); !v.empty()) current = v;
-        if (std::string v = grab("\"wall_sec\""); !v.empty() && !current.empty())
-            entries[current].wallSec = std::stod(v);
-        if (std::string v = grab("\"coarsen_sec\""); !v.empty() && !current.empty())
-            entries[current].coarsenSec = std::stod(v);
-        if (std::string v = grab("\"refine_sec\""); !v.empty() && !current.empty())
-            entries[current].refineSec = std::stod(v);
-        if (std::string v = grab("\"peak_rss_kb\""); !v.empty() && !current.empty())
-            entries[current].peakRssKb = std::stol(v);
+        // A value must parse as a whole number; anything else fails the
+        // gate with a message instead of an uncaught exception.
+        const auto field = [&](const char* key, auto BaselineEntry::*member) {
+            const std::string v = grab(key);
+            if (v.empty() || current.empty()) return;
+            auto& out = entries[current].*member;
+            const char* end = v.data() + v.size();
+            const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+            if (ec != std::errc() || ptr != end) {
+                std::cerr << "error: baseline " << path << ": malformed " << key << " '" << v
+                          << "' for instance " << current << "\n";
+                std::exit(1);
+            }
+        };
+        if (std::string v = grab("instance"); !v.empty()) current = v;
+        field("wall_sec", &BaselineEntry::wallSec);
+        field("coarsen_sec", &BaselineEntry::coarsenSec);
+        field("refine_sec", &BaselineEntry::refineSec);
+        field("peak_rss_kb", &BaselineEntry::peakRssKb);
     }
     return entries;
 }
@@ -483,6 +496,9 @@ std::map<std::string, BaselineEntry> readBaseline(const std::string& path) {
 
 int main(int argc, char** argv) {
     const Options o = parseOptions(argc, argv);
+    // Read the baseline first: a malformed one fails before the run.
+    const std::map<std::string, BaselineEntry> base =
+        o.compare.empty() ? std::map<std::string, BaselineEntry>{} : readBaseline(o.compare);
 
     std::vector<InstanceResult> results;
     EngineAgg engineAgg[portfolio::kEngineCount];
@@ -539,7 +555,6 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << o.out << "\n";
 
     if (!o.compare.empty()) {
-        const std::map<std::string, BaselineEntry> base = readBaseline(o.compare);
         bool regressed = false;
         int compared = 0;
         for (const InstanceResult& r : results) {
