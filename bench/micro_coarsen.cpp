@@ -3,11 +3,14 @@
 // construction, and full one-level coarsening throughput.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <random>
 
+#include "coarsen/coarsen_kernel.h"
 #include "coarsen/induce.h"
 #include "coarsen/matcher.h"
 #include "gen/benchmark_suite.h"
+#include "robust/thread_pool.h"
 
 using namespace mlpart;
 
@@ -43,17 +46,24 @@ void BM_MatchRatioHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchRatioHalf);
 
+// Arg = pool threads: 0 runs the kernel inline on the caller, 4 on a
+// 4-thread pool. One workspace is reused, as in the V-cycle, so the
+// timing excludes scratch allocation after the first iteration.
 void BM_Induce(benchmark::State& state) {
     const Hypergraph& h = circuit();
     std::mt19937_64 rng(3);
     const Clustering c = matchClustering(h, {}, rng);
+    const int threads = static_cast<int>(state.range(0));
+    std::unique_ptr<robust::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<robust::ThreadPool>(threads);
+    CoarsenWorkspace ws;
     for (auto _ : state) {
-        const Hypergraph coarse = induce(h, c);
+        const Hypergraph coarse = induceInto(h, c, ws, pool.get());
         benchmark::DoNotOptimize(coarse.numNets());
     }
     state.SetItemsProcessed(state.iterations() * h.numPins());
 }
-BENCHMARK(BM_Induce);
+BENCHMARK(BM_Induce)->Arg(0)->Arg(4)->UseRealTime();
 
 void BM_FullCoarsenLevel(benchmark::State& state) {
     const Hypergraph& h = circuit();

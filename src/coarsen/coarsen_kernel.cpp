@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "hypergraph/assemble.h"
 #include "robust/fault_injector.h"
@@ -32,9 +33,38 @@ std::uint64_t fingerprintPins(const ModuleId* pins, std::int64_t count) {
     return fp;
 }
 
-/// Fine nets per chunk of the parallel tentative-net passes. Fixed: chunk
+/// Fine nets per chunk of the tentative-net passes. Fixed: chunk
 /// boundaries depend only on the net count, never on the thread count.
 constexpr std::int64_t kNetChunk = 256;
+
+/// Pin spans up to this length sort by insertion; longer ones use
+/// std::sort. Most coarse nets have a handful of pins, where insertion
+/// sort beats introsort's setup cost.
+constexpr std::int64_t kInsertionSortMax = 32;
+
+void sortPins(ModuleId* first, ModuleId* last) {
+    if (last - first > kInsertionSortMax) {
+        std::sort(first, last);
+        return;
+    }
+    for (ModuleId* i = first + 1; i < last; ++i) {
+        const ModuleId x = *i;
+        ModuleId* j = i;
+        for (; j > first && *(j - 1) > x; --j) *j = *(j - 1);
+        *j = x;
+    }
+}
+
+/// Runs fn(worker, chunk) for every chunk: on `pool` when given, else
+/// inline on the caller as worker 0 (what forChunks does at one thread).
+template <typename F>
+void forEachChunk(robust::ThreadPool* pool, std::int64_t chunks, F&& fn) {
+    if (pool != nullptr) {
+        pool->forChunks(chunks, std::forward<F>(fn));
+        return;
+    }
+    for (std::int64_t chunk = 0; chunk < chunks; ++chunk) fn(0, chunk);
+}
 
 } // namespace
 
@@ -50,8 +80,7 @@ Hypergraph induceInto(const Hypergraph& h, const Clustering& c, CoarsenWorkspace
         static_cast<std::uint64_t>(h.numPins()) * 24 +
         static_cast<std::uint64_t>(h.numModules()) * 16);
     validateClustering(h, c);
-    const ModuleId nc = c.numClusters;
-    const std::size_t ncSz = static_cast<std::size_t>(nc);
+    const std::size_t ncSz = static_cast<std::size_t>(c.numClusters);
     const NetId m = h.numNets();
     const ModuleId* clusterOf = c.clusterOf.data();
 
@@ -60,145 +89,75 @@ Hypergraph induceInto(const Hypergraph& h, const Clustering& c, CoarsenWorkspace
     for (ModuleId v = 0; v < h.numModules(); ++v)
         areas[static_cast<std::size_t>(clusterOf[v])] += h.area(v);
 
-    const bool runParallel = pool != nullptr && pool->threads() > 1;
-    NetId tentCount = 0;
-    if (runParallel) {
-        // Parallel tentative-net construction: two passes over fixed net
-        // chunks separated by one serial prefix scan. Pass A counts each
-        // fine net's deduped mapped pins (per-worker stamp arrays — which
-        // worker handles a chunk is unobservable); the scan assigns
-        // tentative ids and exact offsets; pass B fills each kept net's
-        // span, sorts it ascending, and fingerprints it. Sorting per net
-        // replaces the serial path's cluster-order counting sweep and
-        // yields the identical ascending pin lists, so everything
-        // downstream (merge, emission) is byte-for-byte unchanged.
-        const int workers = pool->threads();
-        if (static_cast<int>(ws.threadStamp.size()) < workers)
-            ws.threadStamp.resize(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) ws.threadStamp[static_cast<std::size_t>(w)].assign(ncSz, -1);
-        ws.finePinCount.assign(static_cast<std::size_t>(m), 0);
-        const std::int64_t chunks = robust::ThreadPool::chunkCount(m, kNetChunk);
-        pool->forChunks(chunks, [&](int worker, std::int64_t chunk) {
-            std::int64_t* stamp = ws.threadStamp[static_cast<std::size_t>(worker)].data();
-            const NetId lo = static_cast<NetId>(chunk * kNetChunk);
-            const NetId hiN = std::min<NetId>(m, static_cast<NetId>(lo + kNetChunk));
-            for (NetId e = lo; e < hiN; ++e) {
-                ModuleId count = 0;
-                for (ModuleId v : h.pins(e)) {
-                    const std::size_t cl = static_cast<std::size_t>(clusterOf[v]);
-                    if (stamp[cl] != e) {
-                        stamp[cl] = e;
-                        ++count;
-                    }
+    // Tentative nets: two passes over fixed net chunks separated by one
+    // serial prefix scan. Pass A counts each fine net's deduped mapped
+    // pins (per-worker stamp arrays, so which worker handles a chunk is
+    // unobservable); the scan drops nets that connect < 2 clusters and
+    // assigns tentative ids and exact offsets; pass B fills each kept
+    // net's span, sorts it ascending, and fingerprints it. Every write is
+    // confined to the chunk's own nets, so the output is identical for
+    // every thread count, and with no pool the chunks run on the caller.
+    const int workers = pool != nullptr ? pool->threads() : 1;
+    if (static_cast<int>(ws.threadStamp.size()) < workers)
+        ws.threadStamp.resize(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) ws.threadStamp[static_cast<std::size_t>(w)].assign(ncSz, -1);
+    ws.finePinCount.assign(static_cast<std::size_t>(m), 0);
+    const std::int64_t chunks = robust::ThreadPool::chunkCount(m, kNetChunk);
+    forEachChunk(pool, chunks, [&](int worker, std::int64_t chunk) {
+        std::int64_t* stamp = ws.threadStamp[static_cast<std::size_t>(worker)].data();
+        const NetId lo = static_cast<NetId>(chunk * kNetChunk);
+        const NetId hiN = std::min<NetId>(m, static_cast<NetId>(lo + kNetChunk));
+        for (NetId e = lo; e < hiN; ++e) {
+            ModuleId count = 0;
+            for (ModuleId v : h.pins(e)) {
+                const std::size_t cl = static_cast<std::size_t>(clusterOf[v]);
+                if (stamp[cl] != e) {
+                    stamp[cl] = e;
+                    ++count;
                 }
-                ws.finePinCount[static_cast<std::size_t>(e)] = count;
             }
-        });
-        ws.fineTent.assign(static_cast<std::size_t>(m), kInvalidNet);
-        ws.tentOffsets.clear();
-        ws.tentOffsets.push_back(0);
-        ws.tentWeights.clear();
-        for (NetId e = 0; e < m; ++e) {
-            const ModuleId count = ws.finePinCount[static_cast<std::size_t>(e)];
-            if (count < 2) continue; // degenerate: connects < 2 clusters
-            ws.fineTent[static_cast<std::size_t>(e)] = static_cast<NetId>(ws.tentWeights.size());
-            ws.tentOffsets.push_back(ws.tentOffsets.back() + count);
-            ws.tentWeights.push_back(h.netWeight(e));
+            ws.finePinCount[static_cast<std::size_t>(e)] = count;
         }
-        tentCount = static_cast<NetId>(ws.tentWeights.size());
-        ws.tentPinsSorted.resize(static_cast<std::size_t>(ws.tentOffsets.back()));
-        ws.fingerprints.resize(static_cast<std::size_t>(tentCount));
-        pool->forChunks(chunks, [&](int worker, std::int64_t chunk) {
-            std::int64_t* stamp = ws.threadStamp[static_cast<std::size_t>(worker)].data();
-            const NetId lo = static_cast<NetId>(chunk * kNetChunk);
-            const NetId hiN = std::min<NetId>(m, static_cast<NetId>(lo + kNetChunk));
-            for (NetId e = lo; e < hiN; ++e) {
-                const NetId t = ws.fineTent[static_cast<std::size_t>(e)];
-                if (t == kInvalidNet) continue;
-                // Stamp marker m+e: distinct from every pass-A marker, so
-                // the stamp arrays need no reset between passes.
-                const std::int64_t marker = static_cast<std::int64_t>(m) + e;
-                ModuleId* out = ws.tentPinsSorted.data() + ws.tentOffsets[t];
-                std::int64_t filled = 0;
-                for (ModuleId v : h.pins(e)) {
-                    const std::size_t cl = static_cast<std::size_t>(clusterOf[v]);
-                    if (stamp[cl] != marker) {
-                        stamp[cl] = marker;
-                        out[filled++] = static_cast<ModuleId>(cl);
-                    }
-                }
-                std::sort(out, out + filled);
-                ws.fingerprints[static_cast<std::size_t>(t)] = fingerprintPins(out, filled);
-            }
-        });
-    } else {
-    // Pass 1 — tentative nets: map each fine net through the clustering,
-    // dedup pins with a per-cluster stamp of the current net id (instead
-    // of sort+unique over the mapped pins), drop |e*| < 2 nets.
-    ws.pinStamp.assign(ncSz, kInvalidNet);
+    });
+    ws.fineTent.assign(static_cast<std::size_t>(m), kInvalidNet);
     ws.tentOffsets.clear();
     ws.tentOffsets.push_back(0);
-    ws.tentPins.clear();
     ws.tentWeights.clear();
-    NetId* stamp = ws.pinStamp.data();
     for (NetId e = 0; e < m; ++e) {
-        const std::size_t before = ws.tentPins.size();
-        for (ModuleId v : h.pins(e)) {
-            const ModuleId cl = clusterOf[v];
-            if (stamp[cl] != e) {
-                stamp[cl] = e;
-                ws.tentPins.push_back(cl);
-            }
-        }
-        if (ws.tentPins.size() - before >= 2) {
-            ws.tentOffsets.push_back(static_cast<std::int64_t>(ws.tentPins.size()));
-            ws.tentWeights.push_back(h.netWeight(e));
-        } else {
-            ws.tentPins.resize(before); // degenerate: connects < 2 clusters
-        }
+        const ModuleId count = ws.finePinCount[static_cast<std::size_t>(e)];
+        if (count < 2) continue; // degenerate: connects < 2 clusters
+        ws.fineTent[static_cast<std::size_t>(e)] = static_cast<NetId>(ws.tentWeights.size());
+        ws.tentOffsets.push_back(ws.tentOffsets.back() + count);
+        ws.tentWeights.push_back(h.netWeight(e));
     }
-    tentCount = static_cast<NetId>(ws.tentWeights.size());
-
-    // Pass 2 — sort-free CSR emission. Two counting sweeps produce every
-    // tentative net's pin list in ascending cluster order: first a
-    // cluster -> tentative-net incidence (net ids ascend within each
-    // cluster because nets are visited in order), then a walk over
-    // clusters in increasing id appending each cluster to its nets.
-    ws.clusterOffsets.assign(ncSz + 1, 0);
-    for (ModuleId cl : ws.tentPins) ws.clusterOffsets[static_cast<std::size_t>(cl) + 1]++;
-    for (std::size_t i = 1; i <= ncSz; ++i) ws.clusterOffsets[i] += ws.clusterOffsets[i - 1];
-    ws.clusterNets.resize(ws.tentPins.size());
-    for (NetId t = 0; t < tentCount; ++t) {
-        for (std::int64_t p = ws.tentOffsets[t]; p < ws.tentOffsets[t + 1]; ++p) {
-            const std::size_t cl = static_cast<std::size_t>(ws.tentPins[static_cast<std::size_t>(p)]);
-            ws.clusterNets[static_cast<std::size_t>(ws.clusterOffsets[cl]++)] = t;
-        }
-    }
-    // clusterOffsets[cl] now marks the *end* of cluster cl's range (the
-    // fill advanced each cursor across its own range exactly).
-    ws.netCursor.assign(ws.tentOffsets.begin(), ws.tentOffsets.end() - 1);
-    ws.tentPinsSorted.resize(ws.tentPins.size());
-    {
-        std::int64_t start = 0;
-        for (std::size_t cl = 0; cl < ncSz; ++cl) {
-            const std::int64_t end = ws.clusterOffsets[cl];
-            for (std::int64_t i = start; i < end; ++i) {
-                const NetId t = ws.clusterNets[static_cast<std::size_t>(i)];
-                ws.tentPinsSorted[static_cast<std::size_t>(ws.netCursor[static_cast<std::size_t>(t)]++)] =
-                    static_cast<ModuleId>(cl);
-            }
-            start = end;
-        }
-    }
-
+    const NetId tentCount = static_cast<NetId>(ws.tentWeights.size());
+    ws.tentPinsSorted.resize(static_cast<std::size_t>(ws.tentOffsets.back()));
     ws.fingerprints.resize(static_cast<std::size_t>(tentCount));
-    for (NetId t = 0; t < tentCount; ++t)
-        ws.fingerprints[static_cast<std::size_t>(t)] =
-            fingerprintPins(ws.tentPinsSorted.data() + ws.tentOffsets[t],
-                            ws.tentOffsets[t + 1] - ws.tentOffsets[t]);
-    } // serial path
+    forEachChunk(pool, chunks, [&](int worker, std::int64_t chunk) {
+        std::int64_t* stamp = ws.threadStamp[static_cast<std::size_t>(worker)].data();
+        const NetId lo = static_cast<NetId>(chunk * kNetChunk);
+        const NetId hiN = std::min<NetId>(m, static_cast<NetId>(lo + kNetChunk));
+        for (NetId e = lo; e < hiN; ++e) {
+            const NetId t = ws.fineTent[static_cast<std::size_t>(e)];
+            if (t == kInvalidNet) continue;
+            // Stamp marker m+e: distinct from every pass-A marker, so the
+            // stamp arrays need no reset between passes.
+            const std::int64_t marker = static_cast<std::int64_t>(m) + e;
+            ModuleId* out = ws.tentPinsSorted.data() + ws.tentOffsets[t];
+            std::int64_t filled = 0;
+            for (ModuleId v : h.pins(e)) {
+                const std::size_t cl = static_cast<std::size_t>(clusterOf[v]);
+                if (stamp[cl] != marker) {
+                    stamp[cl] = marker;
+                    out[filled++] = static_cast<ModuleId>(cl);
+                }
+            }
+            sortPins(out, out + filled);
+            ws.fingerprints[static_cast<std::size_t>(t)] = fingerprintPins(out, filled);
+        }
+    });
 
-    // Pass 3 — parallel-net merging via one sorted fingerprint pass.
+    // Parallel-net merging via one sorted fingerprint pass.
     // Sorting (fingerprint, net id) pairs groups candidate duplicates;
     // within a group the ascending net-id walk merges every net into the
     // lowest-id net with an equal pin list, exactly like the builder's

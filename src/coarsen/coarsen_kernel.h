@@ -1,26 +1,28 @@
-// Allocation-free coarsening kernel (the hot half of the V-cycle).
+// Allocation-free coarsening kernel: Induce (paper Definition 1) for one
+// level of the V-cycle.
 //
-// induce() originally detoured through HypergraphBuilder::build(): one
-// scratch.assign + std::sort per fine net, then an FNV hash into a
-// std::unordered_map<uint64, vector<NetId>> for parallel-net merging —
-// O(pins log deg) comparisons and O(nets) node allocations per level.
-// This kernel produces a bit-identical coarse hypergraph with
-//  - cluster-stamp dedup of mapped pins (no per-net sort of fine pins),
-//  - sort-free CSR emission: a counting pass over cluster ids emits every
-//    coarse net's pin list already in ascending order,
-//  - parallel-net merging via one sorted fingerprint pass (sorting net
-//    ids, which is cheap, instead of pin lists, which is not),
-// with every scratch buffer owned by a CoarsenWorkspace that the caller
-// keeps alive for the whole V-cycle — after the first level no scratch
-// allocation happens on the hot path. Only the arrays owned by the
-// returned Hypergraph itself are freshly allocated (they outlive the
-// call by design).
+// induceInto() builds the coarse hypergraph in three steps:
+//  - tentative nets, in two passes over fixed chunks of fine nets with a
+//    serial prefix scan between them. Pass A counts each net's distinct
+//    clusters with a per-worker cluster stamp; the scan drops nets that
+//    connect fewer than two clusters and fixes every kept net's offset;
+//    pass B fills each span, sorts it ascending (insertion sort for short
+//    spans, std::sort for long ones) and fingerprints it;
+//  - parallel-net merging via one sorted (fingerprint, net id) pass, which
+//    sorts net ids instead of pin lists;
+//  - emission of the kept nets into exactly-sized arrays.
+// The chunk passes run on a thread pool when one is given and inline on
+// the caller otherwise. Chunk boundaries depend only on the net count and
+// every write is chunk-confined, so the result is the same for every
+// thread count. Every scratch buffer lives in a CoarsenWorkspace that the
+// caller keeps for the whole V-cycle, so after the first level the kernel
+// allocates only the arrays the returned Hypergraph owns.
 //
-// Bit-identical means: netPinOffsets, netPins, netWeights, module-net CSR,
-// areas, and all cached statistics equal the legacy builder path's output
-// exactly. src/check's differential oracle (verifyIdenticalHypergraphs)
-// guards this in every checked build, and tests/coarsen_kernel_test pins
-// it across the gen suite.
+// The result equals induceReference() (the HypergraphBuilder path) byte
+// for byte: netPinOffsets, netPins, netWeights, module-net CSR, areas and
+// all cached statistics. Checked builds compare the two on every level
+// (check::verifyIdenticalHypergraphs), and tests/coarsen_kernel_test pins
+// it across the gen suite and thread counts.
 #pragma once
 
 #include <cstdint>
@@ -41,18 +43,12 @@ namespace mlpart {
 /// warm-up V-cycle leaves the workspace allocation-free for all smaller
 /// or equal levels that follow.
 struct CoarsenWorkspace {
-    std::vector<NetId> pinStamp;           ///< per cluster: last net that touched it
     std::vector<std::int64_t> tentOffsets; ///< tentative-net pin CSR offsets
-    std::vector<ModuleId> tentPins;        ///< tentative pins, first-seen order
     std::vector<ModuleId> tentPinsSorted;  ///< tentative pins, ascending per net
     std::vector<Weight> tentWeights;       ///< tentative-net weights (merge sums here)
-    std::vector<std::int64_t> clusterOffsets; ///< cluster -> tentative-net CSR
-    std::vector<NetId> clusterNets;
-    std::vector<std::int64_t> netCursor;   ///< per tentative net: emission cursor
     std::vector<std::uint64_t> fingerprints; ///< per tentative net: pin-list hash
     std::vector<NetId> order;              ///< net ids sorted by (fingerprint, id)
     std::vector<NetId> repOf;              ///< per tentative net: merge representative
-    // Parallel-path scratch (used only when induceInto runs on a pool):
     std::vector<ModuleId> finePinCount;    ///< per fine net: deduped mapped-pin count
     std::vector<NetId> fineTent;           ///< per fine net: tentative id (kInvalidNet = dropped)
     std::vector<std::vector<std::int64_t>> threadStamp; ///< per worker: cluster stamp array
@@ -60,14 +56,9 @@ struct CoarsenWorkspace {
     /// Releases every scratch buffer back to the allocator (see
     /// refine::Workspace::shrinkToFit for the long-lived-host rationale).
     void shrinkToFit() {
-        std::vector<NetId>().swap(pinStamp);
         std::vector<std::int64_t>().swap(tentOffsets);
-        std::vector<ModuleId>().swap(tentPins);
         std::vector<ModuleId>().swap(tentPinsSorted);
         std::vector<Weight>().swap(tentWeights);
-        std::vector<std::int64_t>().swap(clusterOffsets);
-        std::vector<NetId>().swap(clusterNets);
-        std::vector<std::int64_t>().swap(netCursor);
         std::vector<std::uint64_t>().swap(fingerprints);
         std::vector<NetId>().swap(order);
         std::vector<NetId>().swap(repOf);
@@ -78,14 +69,9 @@ struct CoarsenWorkspace {
 
     /// Bytes of heap capacity currently held.
     [[nodiscard]] std::size_t capacityBytes() const {
-        std::size_t n = pinStamp.capacity() * sizeof(NetId) +
-                        tentOffsets.capacity() * sizeof(std::int64_t) +
-                        tentPins.capacity() * sizeof(ModuleId) +
+        std::size_t n = tentOffsets.capacity() * sizeof(std::int64_t) +
                         tentPinsSorted.capacity() * sizeof(ModuleId) +
                         tentWeights.capacity() * sizeof(Weight) +
-                        clusterOffsets.capacity() * sizeof(std::int64_t) +
-                        clusterNets.capacity() * sizeof(NetId) +
-                        netCursor.capacity() * sizeof(std::int64_t) +
                         fingerprints.capacity() * sizeof(std::uint64_t) +
                         order.capacity() * sizeof(NetId) + repOf.capacity() * sizeof(NetId) +
                         finePinCount.capacity() * sizeof(ModuleId) +
@@ -97,13 +83,10 @@ struct CoarsenWorkspace {
 };
 
 /// Definition 1 coarsening through the dedicated kernel: the coarse
-/// hypergraph induced by `c`, bit-identical to the HypergraphBuilder
-/// path. `ws` supplies all scratch storage. When `pool` is non-null and
-/// has more than one thread, the tentative-net construction (pin dedup,
-/// per-net pin sorting, fingerprinting) runs in parallel over fixed
-/// net chunks — the output stays bit-identical to the serial path for
-/// every thread count, because each net's span and fingerprint are
-/// chunk-confined and the merge/emission pass is unchanged.
+/// hypergraph induced by `c`, bit-identical to induceReference(). `ws`
+/// supplies all scratch storage. The tentative-net passes run over fixed
+/// net chunks on `pool` when it is non-null, else inline on the caller;
+/// the output is the same either way and for every thread count.
 [[nodiscard]] Hypergraph induceInto(const Hypergraph& h, const Clustering& c,
                                     CoarsenWorkspace& ws,
                                     robust::ThreadPool* pool = nullptr);

@@ -31,6 +31,61 @@ bool blockMismatch(const MatchConfig& cfg, ModuleId v, ModuleId w) {
            cfg.sameBlockOnly[static_cast<std::size_t>(v)] != cfg.sameBlockOnly[static_cast<std::size_t>(w)];
 }
 
+/// The one neighbour scan of every matcher: calls f(w, perNet) for each
+/// pin w of each net of v with at most cfg.maxNetSize pins, where w is not
+/// v, still unassigned (assigned[w] == kInvalidModule), not excluded, and
+/// in v's block. perNet is the net's conn term w(e)/(|e|-1): the paper's
+/// 1/(|e|-1), scaled by the net weight so that parallel nets merged during
+/// coarsening keep their full pull. A module is visited once per shared net.
+template <typename F>
+void forEachEligibleNeighbour(const Hypergraph& h, const MatchConfig& cfg, const ModuleId* assigned,
+                              ModuleId v, F&& f) {
+    for (NetId e : h.nets(v)) {
+        if (h.netSize(e) > cfg.maxNetSize) continue;
+        const double perNet = static_cast<double>(h.netWeight(e)) /
+                              static_cast<double>(h.netSize(e) - 1);
+        for (ModuleId w : h.pins(e)) {
+            if (w == v) continue;
+            if (assigned[static_cast<std::size_t>(w)] != kInvalidModule) continue;
+            if (isExcluded(cfg, w)) continue;
+            if (blockMismatch(cfg, v, w)) continue;
+            f(w, perNet);
+        }
+    }
+}
+
+/// Accumulates conn(v, w) (before area normalization) over v's eligible
+/// neighbours into `conn`, then calls rate(w, conn(v, w)) once per
+/// neighbour in first-touch order and clears its slot again (the paper's
+/// Conn array plus touched set S, so a query costs O(pins), not O(n)).
+template <typename Rate>
+void rateNeighbours(const Hypergraph& h, const MatchConfig& cfg, const ModuleId* assigned,
+                    ModuleId v, std::vector<double>& conn, std::vector<ModuleId>& touched,
+                    Rate&& rate) {
+    touched.clear();
+    forEachEligibleNeighbour(h, cfg, assigned, v, [&](ModuleId w, double perNet) {
+        if (conn[static_cast<std::size_t>(w)] == 0.0) touched.push_back(w);
+        conn[static_cast<std::size_t>(w)] += perNet;
+    });
+    for (ModuleId w : touched) {
+        rate(w, conn[static_cast<std::size_t>(w)]);
+        conn[static_cast<std::size_t>(w)] = 0.0;
+    }
+}
+
+/// The matcher's score of pair (v, w) given conn(v, w): area-normalized
+/// for connectivity matching, raw for heavy-edge. Random matching rates
+/// every neighbour equally (its parallel form breaks the tie by hash).
+double pairScore(CoarsenerKind kind, const Hypergraph& h, ModuleId v, ModuleId w, double conn) {
+    switch (kind) {
+        case CoarsenerKind::kConnectivityMatch:
+            return conn / static_cast<double>(h.area(v) + h.area(w));
+        case CoarsenerKind::kHeavyEdgeMatch: return conn;
+        case CoarsenerKind::kRandomMatch: break;
+    }
+    return 1.0;
+}
+
 // Shared matching skeleton: visits modules in random order, asks `pickMate`
 // for the partner of each unmatched module, stops at the matching ratio,
 // then closes out singletons (paper Fig. 3 steps 8-11).
@@ -79,91 +134,45 @@ Clustering matchSkeleton(const Hypergraph& h, const MatchConfig& cfg, std::mt199
     return c;
 }
 
-} // namespace
-
-Clustering matchClustering(const Hypergraph& h, const MatchConfig& cfg, std::mt19937_64& rng) {
-    // Scratch reused across pickMate calls: Conn array indexed by module and
-    // the set S of touched neighbours, reset after each query (paper's
-    // described implementation of Step 5).
+/// Paper Fig. 3 step 5 for connectivity and heavy-edge matching: each
+/// visited module takes the eligible neighbour with the highest score,
+/// the first one in scan order on ties.
+Clustering bestScoreMatching(CoarsenerKind kind, const Hypergraph& h, const MatchConfig& cfg,
+                             std::mt19937_64& rng) {
     std::vector<double> conn(static_cast<std::size_t>(h.numModules()), 0.0);
     std::vector<ModuleId> touched;
     return matchSkeleton(h, cfg, rng, [&](ModuleId v, const Clustering& c) -> ModuleId {
-        touched.clear();
-        for (NetId e : h.nets(v)) {
-            if (h.netSize(e) > cfg.maxNetSize) continue;
-            // The paper's 1/(|e|-1) term, scaled by the net weight so that
-            // parallel nets merged during coarsening keep their full pull.
-            const double perNet = static_cast<double>(h.netWeight(e)) /
-                                  static_cast<double>(h.netSize(e) - 1);
-            for (ModuleId w : h.pins(e)) {
-                if (w == v) continue;
-                if (c.clusterOf[static_cast<std::size_t>(w)] != kInvalidModule) continue;
-                if (isExcluded(cfg, w)) continue;
-                if (blockMismatch(cfg, v, w)) continue;
-                if (conn[static_cast<std::size_t>(w)] == 0.0) touched.push_back(w);
-                conn[static_cast<std::size_t>(w)] += perNet;
-            }
-        }
         ModuleId best = kInvalidModule;
         double bestScore = 0.0;
-        for (ModuleId w : touched) {
-            const double score = conn[static_cast<std::size_t>(w)] /
-                                 static_cast<double>(h.area(v) + h.area(w));
+        rateNeighbours(h, cfg, c.clusterOf.data(), v, conn, touched, [&](ModuleId w, double cw) {
+            const double score = pairScore(kind, h, v, w, cw);
             if (best == kInvalidModule || score > bestScore) {
                 best = w;
                 bestScore = score;
             }
-            conn[static_cast<std::size_t>(w)] = 0.0; // cheap reinitialization via S
-        }
+        });
         return best;
     });
+}
+
+} // namespace
+
+Clustering matchClustering(const Hypergraph& h, const MatchConfig& cfg, std::mt19937_64& rng) {
+    return bestScoreMatching(CoarsenerKind::kConnectivityMatch, h, cfg, rng);
 }
 
 Clustering heavyEdgeMatching(const Hypergraph& h, const MatchConfig& cfg, std::mt19937_64& rng) {
-    std::vector<double> conn(static_cast<std::size_t>(h.numModules()), 0.0);
-    std::vector<ModuleId> touched;
-    return matchSkeleton(h, cfg, rng, [&](ModuleId v, const Clustering& c) -> ModuleId {
-        touched.clear();
-        for (NetId e : h.nets(v)) {
-            if (h.netSize(e) > cfg.maxNetSize) continue;
-            const double perNet = static_cast<double>(h.netWeight(e)) /
-                                  static_cast<double>(h.netSize(e) - 1);
-            for (ModuleId w : h.pins(e)) {
-                if (w == v) continue;
-                if (c.clusterOf[static_cast<std::size_t>(w)] != kInvalidModule) continue;
-                if (isExcluded(cfg, w)) continue;
-                if (blockMismatch(cfg, v, w)) continue;
-                if (conn[static_cast<std::size_t>(w)] == 0.0) touched.push_back(w);
-                conn[static_cast<std::size_t>(w)] += perNet;
-            }
-        }
-        ModuleId best = kInvalidModule;
-        double bestScore = 0.0;
-        for (ModuleId w : touched) {
-            if (best == kInvalidModule || conn[static_cast<std::size_t>(w)] > bestScore) {
-                best = w;
-                bestScore = conn[static_cast<std::size_t>(w)];
-            }
-            conn[static_cast<std::size_t>(w)] = 0.0;
-        }
-        return best;
-    });
+    return bestScoreMatching(CoarsenerKind::kHeavyEdgeMatch, h, cfg, rng);
 }
 
 Clustering randomMatching(const Hypergraph& h, const MatchConfig& cfg, std::mt19937_64& rng) {
+    // A neighbour sharing several nets appears once per net, so the draw
+    // favours well-connected partners; the list keeps that multiplicity.
     std::vector<ModuleId> candidates;
     return matchSkeleton(h, cfg, rng, [&](ModuleId v, const Clustering& c) -> ModuleId {
         candidates.clear();
-        for (NetId e : h.nets(v)) {
-            if (h.netSize(e) > cfg.maxNetSize) continue;
-            for (ModuleId w : h.pins(e)) {
-                if (w == v) continue;
-                if (c.clusterOf[static_cast<std::size_t>(w)] != kInvalidModule) continue;
-                if (isExcluded(cfg, w)) continue;
-                if (blockMismatch(cfg, v, w)) continue;
-                candidates.push_back(w);
-            }
-        }
+        forEachEligibleNeighbour(h, cfg, c.clusterOf.data(), v,
+                                 [&](ModuleId w, double) { candidates.push_back(w); });
         if (candidates.empty()) return kInvalidModule;
         return candidates[std::uniform_int_distribution<std::size_t>(0, candidates.size() - 1)(rng)];
     });
@@ -208,41 +217,17 @@ std::uint64_t pairHash(std::uint64_t seed, ModuleId a, ModuleId b) {
 }
 
 /// One module's proposal: the eligible unmatched neighbour maximizing
-/// (rating, pairHash, -id). `conn`/`touched` are this worker's scratch.
+/// (score, pairHash, -id). `conn`/`touched` are this worker's scratch.
 ModuleId proposeFor(const Hypergraph& h, const MatchConfig& cfg, CoarsenerKind kind,
                     std::uint64_t seed, const ModuleId* mate, ModuleId v,
                     std::vector<double>& conn, std::vector<ModuleId>& touched) {
-    touched.clear();
-    const bool hashRating = kind == CoarsenerKind::kRandomMatch;
-    for (NetId e : h.nets(v)) {
-        if (h.netSize(e) > cfg.maxNetSize) continue;
-        const double perNet = static_cast<double>(h.netWeight(e)) /
-                              static_cast<double>(h.netSize(e) - 1);
-        for (ModuleId w : h.pins(e)) {
-            if (w == v) continue;
-            if (mate[static_cast<std::size_t>(w)] != kInvalidModule) continue;
-            if (isExcluded(cfg, w)) continue;
-            if (blockMismatch(cfg, v, w)) continue;
-            if (conn[static_cast<std::size_t>(w)] == 0.0) touched.push_back(w);
-            conn[static_cast<std::size_t>(w)] += perNet;
-        }
-    }
     ModuleId best = kInvalidModule;
     double bestScore = 0.0;
     std::uint64_t bestHash = 0;
-    for (ModuleId w : touched) {
-        double score;
-        if (hashRating) {
-            // Chaco-analogue: the rating IS the seeded hash, so the pick is
-            // uniform-ish among neighbours yet reproducible in any order.
-            score = 1.0;
-        } else if (kind == CoarsenerKind::kConnectivityMatch) {
-            score = conn[static_cast<std::size_t>(w)] /
-                    static_cast<double>(h.area(v) + h.area(w));
-        } else {
-            score = conn[static_cast<std::size_t>(w)];
-        }
-        conn[static_cast<std::size_t>(w)] = 0.0; // cheap reinitialization via touched
+    rateNeighbours(h, cfg, mate, v, conn, touched, [&](ModuleId w, double cw) {
+        // For kRandomMatch every score is equal, so the seeded hash picks:
+        // uniform-ish among neighbours yet reproducible in any order.
+        const double score = pairScore(kind, h, v, w, cw);
         const std::uint64_t hash = pairHash(seed, v, w);
         const bool better = best == kInvalidModule || score > bestScore ||
                             (score == bestScore &&
@@ -252,7 +237,7 @@ ModuleId proposeFor(const Hypergraph& h, const MatchConfig& cfg, CoarsenerKind k
             bestScore = score;
             bestHash = hash;
         }
-    }
+    });
     return best;
 }
 

@@ -361,7 +361,7 @@ MLResult MultilevelPartitioner::run(const Hypergraph& h0, std::mt19937_64& rng,
         cfg_.preassignment.size() != static_cast<std::size_t>(h0.numModules()))
         throw std::invalid_argument("MultilevelPartitioner: preassignment size mismatch");
 
-    MLResult result{Partition(h0, cfg_.k), 0, 0, 0, {}};
+    MLResult result{.partition = Partition(h0, cfg_.k), .levelModules = {}, .timings = {}};
     Partition bestPart(h0, cfg_.k);
     Weight bestCut = 0;
     int startCycle = 0;

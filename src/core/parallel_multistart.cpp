@@ -388,12 +388,17 @@ MultiStartOutcome parallelMultiStart(const Hypergraph& h, const MultilevelPartit
     // last < checkpointEvery starts unpersisted).
     writeCheckpoint(true);
 
-    MultiStartOutcome out{std::move(best), bestCut, bestRun, {}, watch.seconds(), {}};
+    MultiStartOutcome out{.best = std::move(best),
+                          .bestCut = bestCut,
+                          .bestRun = bestRun,
+                          .cuts = {},
+                          .seconds = watch.seconds(),
+                          .report = {},
+                          .resumedStarts = resumedStarts,
+                          .resumeStatus = std::move(resumeStatus),
+                          .checkpointStatus = std::move(checkpointStatus)};
     out.report.starts = std::move(records);
     out.report.deadlineHit = deadlineHit.load(std::memory_order_relaxed) || deadline.expired();
-    out.resumedStarts = resumedStarts;
-    out.resumeStatus = std::move(resumeStatus);
-    out.checkpointStatus = std::move(checkpointStatus);
     for (const robust::StartRecord& rec : out.report.starts)
         if (rec.status == robust::StartStatus::kOk ||
             rec.status == robust::StartStatus::kRetriedOk)

@@ -1,8 +1,10 @@
-// Differential tests pinning the coarsening kernel (induceInto) to the
-// legacy HypergraphBuilder path (induceReference), plus the V-cycle
+// Differential tests pinning the coarsening kernel (induceInto), inline and
+// on 1- and 4-thread pools, to the legacy HypergraphBuilder path
+// (induceReference), plus the V-cycle
 // allocation-discipline check: after one warm-up run, a whole V-cycle
 // through pooled workspaces allocates O(levels) times, not
 // O(levels x modules).
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -18,6 +20,7 @@
 #include "gen/benchmark_suite.h"
 #include "kway/kway_refiner.h"
 #include "refine/multistart.h"
+#include "robust/thread_pool.h"
 #include "test_util.h"
 
 namespace mlpart {
@@ -50,25 +53,45 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 namespace mlpart {
 namespace {
 
+/// Runs induceInto on `h`/`c` inline (no pool), on a 1-thread pool and on
+/// a 4-thread pool, each with its own workspace, and checks every result
+/// against induceReference. Returns the reference result.
+class KernelRuns {
+public:
+    Hypergraph induceAndCompare(const Hypergraph& h, const Clustering& c) {
+        const Hypergraph want = induceReference(h, c);
+        robust::ThreadPool* pools[] = {nullptr, &pool1_, &pool4_};
+        for (int i = 0; i < 3; ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << "pool threads " << (pools[i] == nullptr ? 0 : pools[i]->threads()));
+            const Hypergraph got = induceInto(h, c, ws_[i], pools[i]);
+            const check::CheckResult r = check::verifyIdenticalHypergraphs(got, want);
+            EXPECT_TRUE(r.ok()) << r.summary();
+            EXPECT_GT(r.factsChecked, 0);
+        }
+        return want;
+    }
+
+private:
+    robust::ThreadPool pool1_{1};
+    robust::ThreadPool pool4_{4};
+    CoarsenWorkspace ws_[3];
+};
+
 /// Coarsens `h` level by level with the given matcher, comparing the
-/// kernel's output against the builder path on every level.
+/// kernel's output at every pool size against the builder path on every
+/// level.
 void compareAllLevels(Hypergraph h, CoarsenerKind kind, std::uint64_t seed) {
     std::mt19937_64 rng(seed);
-    CoarsenWorkspace ws;
+    KernelRuns runs;
     int guard = 0;
     while (h.numModules() > 35 && guard++ < 64) {
         MatchConfig mc;
         mc.ratio = 0.5;
-        // Two independent rng streams would diverge; clone the matcher's
-        // clustering for both induce paths instead.
         const Clustering c = runMatcher(kind, h, mc, rng);
         if (c.numClusters == h.numModules()) break; // no progress (tiny inputs)
-        const Hypergraph got = induceInto(h, c, ws);
-        const Hypergraph want = induceReference(h, c);
-        const check::CheckResult r = check::verifyIdenticalHypergraphs(got, want);
-        ASSERT_TRUE(r.ok()) << r.summary();
-        EXPECT_GT(r.factsChecked, 0);
-        h = got;
+        h = runs.induceAndCompare(h, c);
+        if (::testing::Test::HasFailure()) return;
     }
 }
 
@@ -122,6 +145,40 @@ TEST(CoarsenKernelDifferential, DegenerateClusterings) {
     pairs.clusterOf = {0, 0, 1, 1, 2, 2};
     r = check::verifyIdenticalHypergraphs(induceInto(h, pairs, ws), induceReference(h, pairs));
     EXPECT_TRUE(r.ok()) << r.summary();
+}
+
+TEST(CoarsenKernelDifferential, SortCutoffSpans) {
+    // Coarse nets of 2, 32, 33 and 200 pins straddle the kernel's
+    // insertion-sort/std::sort cutoff. The clustering pairs modules and
+    // numbers the pairs from the top down, so every fine net's clusters
+    // arrive in descending order: the worst case for the short-span sort.
+    const ModuleId n = 440;
+    HypergraphBuilder b(n);
+    for (const ModuleId span : {2, 32, 33, 200}) {
+        for (const ModuleId base : {0, 40}) {
+            std::vector<ModuleId> both; // both pair members of `span` pairs
+            std::vector<ModuleId> one;  // one member each: a parallel net
+            for (ModuleId v = base; v < base + 2 * span; ++v) {
+                both.push_back(v);
+                if (v % 2 == 0) one.push_back(v + 1);
+            }
+            b.addNet(both);
+            b.addNet(one, 2);
+        }
+    }
+    const Hypergraph h = std::move(b).build();
+    Clustering c;
+    c.numClusters = n / 2;
+    for (ModuleId v = 0; v < n; ++v) c.clusterOf.push_back((n - 1 - v) / 2);
+
+    KernelRuns runs;
+    const Hypergraph coarse = runs.induceAndCompare(h, c);
+    std::vector<std::int64_t> sizes;
+    for (NetId e = 0; e < coarse.numNets(); ++e) sizes.push_back(coarse.netSize(e));
+    for (const std::int64_t span : {2, 32, 33, 200})
+        EXPECT_NE(std::find(sizes.begin(), sizes.end(), span), sizes.end()) << span;
+    // Each `one` net merged into its `both` twin.
+    EXPECT_EQ(coarse.numNets(), 8);
 }
 
 TEST(VCycleAllocationDiscipline, WarmRunsAllocateOLevels) {

@@ -2,11 +2,16 @@
 // Induce/Project primitives.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
 #include <random>
+#include <string>
 
 #include "coarsen/induce.h"
 #include "coarsen/matcher.h"
+#include "gen/benchmark_suite.h"
 #include "gen/grid_generator.h"
+#include "robust/thread_pool.h"
 #include "test_util.h"
 
 namespace mlpart {
@@ -263,6 +268,124 @@ TEST(Induce, GridCoarseningKeepsGridLikeStructure) {
     EXPECT_GT(coarse.numNets(), 0);
     EXPECT_LE(coarse.numModules(), 55);
     EXPECT_GE(coarse.numModules(), 50); // perfect matching halves 100
+}
+
+// ---- golden clusterings --------------------------------------------------
+// FNV-1a over (numClusters, clusterOf) for fixed circuits, seeds and
+// configs. The matchers' visit order, tie-breaks and floating-point
+// accumulation order decide every committed cut, so any refactor of the
+// matchers must leave these hashes unchanged. A deliberate behaviour change
+// updates the table (each failing case prints its new value).
+std::uint64_t clusteringHash(const Clustering& c) {
+    std::uint64_t fp = 1469598103934665603ULL;
+    auto mix = [&](std::uint64_t x) {
+        fp ^= x + 0x9e3779b97f4a7c15ULL;
+        fp *= 1099511628211ULL;
+    };
+    mix(static_cast<std::uint64_t>(c.numClusters));
+    for (ModuleId cl : c.clusterOf) mix(static_cast<std::uint64_t>(cl));
+    return fp;
+}
+
+std::string hex(std::uint64_t x) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(x));
+    return buf;
+}
+
+/// `h` with non-unit areas and net weights, so the connectivity and
+/// heavy-edge scores (which differ only by area normalization) and the
+/// weighted conn accumulation all show in the hashes.
+Hypergraph weighted(const Hypergraph& h) {
+    HypergraphBuilder b(h.numModules());
+    for (ModuleId v = 0; v < h.numModules(); ++v) b.setArea(v, 1 + (v * 7) % 5);
+    for (NetId e = 0; e < h.numNets(); ++e) b.addNet(h.pins(e), 1 + e % 3);
+    return std::move(b).build();
+}
+
+/// Golden-case configs: the plain matcher at R = 1.0 and 0.5, and R = 1.0
+/// with every pin filter armed (excluded pads, same-block-only, a tight
+/// net-size limit).
+MatchConfig goldenConfig(const Hypergraph& h, int variant) {
+    MatchConfig mc;
+    mc.ratio = variant == 1 ? 0.5 : 1.0;
+    if (variant == 2) {
+        mc.maxNetSize = 4;
+        mc.excluded.assign(static_cast<std::size_t>(h.numModules()), 0);
+        mc.sameBlockOnly.assign(static_cast<std::size_t>(h.numModules()), 0);
+        for (ModuleId v = 0; v < h.numModules(); ++v) {
+            mc.excluded[static_cast<std::size_t>(v)] = v % 17 == 0 ? 1 : 0;
+            mc.sameBlockOnly[static_cast<std::size_t>(v)] = static_cast<PartId>((v / 7) % 2);
+        }
+    }
+    return mc;
+}
+
+struct GoldenCase {
+    const char* circuit;
+    CoarsenerKind kind;
+    int variant;
+    std::uint64_t sequential; ///< runMatcher with std::mt19937_64(circuit seed)
+    std::uint64_t parallel;   ///< matchParallel at 1 and 4 threads
+};
+
+constexpr GoldenCase kGolden[] = {
+    {"primary1", CoarsenerKind::kConnectivityMatch, 0, 0x84b435ef67c3b9f7ULL, 0xcf7716d3c222dc99ULL},
+    {"primary1", CoarsenerKind::kConnectivityMatch, 1, 0xaf533b9749926a6bULL, 0x9740e8d7ae1f6dceULL},
+    {"primary1", CoarsenerKind::kConnectivityMatch, 2, 0x24b21bcc97f96802ULL, 0x3189bf667cf97e74ULL},
+    {"primary1", CoarsenerKind::kRandomMatch, 0, 0x59039321ffc928c1ULL, 0xabb450156f33c9ffULL},
+    {"primary1", CoarsenerKind::kRandomMatch, 1, 0xf24799c7576987fdULL, 0x3b3ce50f0f390998ULL},
+    {"primary1", CoarsenerKind::kRandomMatch, 2, 0x55e036f19b6fb28bULL, 0x8eb625109747c8baULL},
+    {"primary1", CoarsenerKind::kHeavyEdgeMatch, 0, 0x84b435ef67c3b9f7ULL, 0xcf7716d3c222dc99ULL},
+    {"primary1", CoarsenerKind::kHeavyEdgeMatch, 1, 0xaf533b9749926a6bULL, 0x9740e8d7ae1f6dceULL},
+    {"primary1", CoarsenerKind::kHeavyEdgeMatch, 2, 0x24b21bcc97f96802ULL, 0x3189bf667cf97e74ULL},
+    {"struct", CoarsenerKind::kConnectivityMatch, 0, 0xe1648c833fa564ecULL, 0x796139dd146e6c0dULL},
+    {"struct", CoarsenerKind::kConnectivityMatch, 1, 0x672c3793d852ac7aULL, 0xbe01fbb7dcec23eaULL},
+    {"struct", CoarsenerKind::kConnectivityMatch, 2, 0x4a0215dbb0a7871dULL, 0x0a136a94d28b996eULL},
+    {"struct", CoarsenerKind::kRandomMatch, 0, 0xe7efc6703c382167ULL, 0x3209fcbac6d7ce53ULL},
+    {"struct", CoarsenerKind::kRandomMatch, 1, 0xd61e75bba492d608ULL, 0xe7ab899e7c7e54e1ULL},
+    {"struct", CoarsenerKind::kRandomMatch, 2, 0x949545d64f636f2aULL, 0x838fa0f946690f63ULL},
+    {"struct", CoarsenerKind::kHeavyEdgeMatch, 0, 0xffa3b190575d248aULL, 0xeb18f66dc8885a84ULL},
+    {"struct", CoarsenerKind::kHeavyEdgeMatch, 1, 0x7e13e06c527d1b76ULL, 0x7028172443dba751ULL},
+    {"struct", CoarsenerKind::kHeavyEdgeMatch, 2, 0x69cfc43b4bee0480ULL, 0x257a121ac5f53eb3ULL},
+};
+
+TEST(MatchGolden, ClusteringHashesArePinned) {
+    const CoarsenerKind kinds[] = {CoarsenerKind::kConnectivityMatch, CoarsenerKind::kRandomMatch,
+                                   CoarsenerKind::kHeavyEdgeMatch};
+    robust::ThreadPool pool1(1);
+    robust::ThreadPool pool4(4);
+    std::size_t next = 0;
+    for (const char* circuit : {"primary1", "struct"}) {
+        // primary1 as generated (unit areas and weights); struct weighted.
+        const bool plain = std::string(circuit) == "primary1";
+        const Hypergraph h = plain ? benchmarkInstance(circuit, 0.5)
+                                   : weighted(benchmarkInstance(circuit, 0.5));
+        const std::uint64_t seed = plain ? 11 : 23;
+        for (const CoarsenerKind kind : kinds) {
+            for (int variant = 0; variant < 3; ++variant) {
+                SCOPED_TRACE(::testing::Message() << circuit << " " << toString(kind) << " variant "
+                                                  << variant);
+                const MatchConfig mc = goldenConfig(h, variant);
+                std::mt19937_64 rng(seed);
+                const std::uint64_t seq = clusteringHash(runMatcher(kind, h, mc, rng));
+                MatchWorkspace ws1, ws4;
+                const std::uint64_t par1 =
+                    clusteringHash(matchParallel(kind, h, mc, seed, pool1, ws1));
+                const std::uint64_t par4 =
+                    clusteringHash(matchParallel(kind, h, mc, seed, pool4, ws4));
+                EXPECT_EQ(par1, par4);
+                ASSERT_LT(next, std::size(kGolden));
+                const GoldenCase& g = kGolden[next++];
+                ASSERT_STREQ(g.circuit, circuit);
+                ASSERT_EQ(g.kind, kind);
+                ASSERT_EQ(g.variant, variant);
+                EXPECT_EQ(hex(seq), hex(g.sequential)) << "runMatcher";
+                EXPECT_EQ(hex(par1), hex(g.parallel)) << "matchParallel";
+            }
+        }
+    }
+    EXPECT_EQ(next, std::size(kGolden));
 }
 
 } // namespace

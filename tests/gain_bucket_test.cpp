@@ -347,7 +347,9 @@ TEST_P(GainBucketPolicyTest, ArenaBoundMatchesOwnedUnderRandomOps) {
         }
         for (ModuleId v = 0; v < kModules; ++v) {
             ASSERT_EQ(bound.contains(v), owned.contains(v)) << "module " << v;
-            if (owned.contains(v)) ASSERT_EQ(bound.gain(v), owned.gain(v)) << "module " << v;
+            if (owned.contains(v)) {
+                ASSERT_EQ(bound.gain(v), owned.gain(v)) << "module " << v;
+            }
         }
         // Selection walks the bound lists identically (deterministic for
         // LIFO/FIFO; the random policy draws from the same rng state).

@@ -47,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <random>
 #include <string>
@@ -74,6 +75,7 @@
 #include "refine/multistart.h"
 #include "robust/fault_injector.h"
 #include "robust/status.h"
+#include "robust/thread_pool.h"
 
 #include "flag_value.h"
 
@@ -264,7 +266,9 @@ void fuzzMultiStart(const Hypergraph& h, std::mt19937_64& rng) {
 
 /// Differential oracle for the coarsening kernel: coarsen level by level
 /// with a random matcher/ratio and pin induceInto()'s output to the
-/// legacy builder path (induceReference) on every level.
+/// legacy builder path (induceReference) on every level. The kernel runs
+/// inline (no pool) or on a pool of 1-4 threads; with a pool the levels
+/// are matched by matchParallel, as the parallel V-cycle does.
 void fuzzCoarsenDifferential(const Hypergraph& h0, std::mt19937_64& rng) {
     const CoarsenerKind kinds[] = {CoarsenerKind::kConnectivityMatch,
                                    CoarsenerKind::kRandomMatch,
@@ -273,13 +277,18 @@ void fuzzCoarsenDifferential(const Hypergraph& h0, std::mt19937_64& rng) {
     const double ratios[] = {1.0, 0.5, 0.33};
     MatchConfig mc;
     mc.ratio = ratios[rng() % 3];
+    const int threads = static_cast<int>(rng() % 5); // 0 = no pool
+    std::unique_ptr<robust::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<robust::ThreadPool>(threads);
+    MatchWorkspace mws;
     CoarsenWorkspace ws;
     Hypergraph h = h0;
     int guard = 0;
     while (h.numModules() > 35 && guard++ < 64) {
-        const Clustering c = runMatcher(kind, h, mc, rng);
+        const Clustering c = pool != nullptr ? matchParallel(kind, h, mc, rng(), *pool, mws)
+                                             : runMatcher(kind, h, mc, rng);
         if (c.numClusters == h.numModules()) break;
-        Hypergraph got = induceInto(h, c, ws);
+        Hypergraph got = induceInto(h, c, ws, pool.get());
         check::enforce(check::verifyIdenticalHypergraphs(got, induceReference(h, c)),
                        "fuzz coarsen differential");
         h = std::move(got);
